@@ -1,10 +1,10 @@
 // Backend no-regression and cross-target determinism, at campaign
 // granularity:
 //
-//   * the PPC backend, after the machine layer went target-parametric, must
-//     reproduce the committed pre-refactor reference campaign byte for byte
-//     (tests/data/reference_40.jsonl) — any codegen, timing, scheduling,
-//     peephole, or analysis drift shows up as a diff here;
+//   * every target, with the SSA mid-end off and on, must reproduce its
+//     committed reference campaign byte for byte (tests/data/
+//     reference_40*.jsonl) — any codegen, timing, scheduling, peephole, or
+//     analysis drift shows up as a diff here;
 //   * per target, a parallel campaign (jobs=8) must be bit-identical to the
 //     sequential one (jobs=1): worker scheduling may not leak into records;
 //   * the two targets genuinely differ (the rv32 campaign is NOT the ppc
@@ -29,11 +29,20 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-TEST(CrossTarget, PpcReferenceCampaignIsByteIdentical) {
+struct ReferenceCase {
+  const char* target;
+  bool ssa;
+  const char* fixture;
+};
+
+class ReferenceCampaign : public ::testing::TestWithParam<ReferenceCase> {};
+
+TEST_P(ReferenceCampaign, IsByteIdentical) {
+  const ReferenceCase& c = GetParam();
   const std::string want =
-      read_file(std::string(VCFLIGHT_TEST_DATA_DIR) + "/reference_40.jsonl");
+      read_file(std::string(VCFLIGHT_TEST_DATA_DIR) + "/" + c.fixture);
   ASSERT_FALSE(want.empty());
-  const std::string got = reference_campaign_records("ppc");
+  const std::string got = reference_campaign_records(c.target, c.ssa);
   // Compare record-by-record first so a mismatch names the node instead of
   // dumping two multi-megabyte strings.
   std::istringstream want_lines(want);
@@ -51,6 +60,18 @@ TEST(CrossTarget, PpcReferenceCampaignIsByteIdentical) {
       << "campaign gained records";
   EXPECT_EQ(got, want);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TargetsAndMidEnds, ReferenceCampaign,
+    ::testing::Values(ReferenceCase{"ppc", false, "reference_40.jsonl"},
+                      ReferenceCase{"rv32", false, "reference_40_rv32.jsonl"},
+                      ReferenceCase{"ppc", true, "reference_40_ppc_ssa.jsonl"},
+                      ReferenceCase{"rv32", true,
+                                    "reference_40_rv32_ssa.jsonl"}),
+    [](const ::testing::TestParamInfo<ReferenceCase>& info) {
+      return std::string(info.param.target) +
+             (info.param.ssa ? "_ssa" : "_scalar");
+    });
 
 class CrossTargetDeterminism
     : public ::testing::TestWithParam<const char*> {};
