@@ -10,14 +10,6 @@ std::size_t AsmFunction::label_pos(int label) const {
   throw InternalError("unknown label");
 }
 
-AsmFunction emit_function(const rtl::Function& fn,
-                          const regalloc::Allocation& alloc,
-                          DataLayout& layout, const TargetDesc& desc,
-                          const EmitOptions& options) {
-  check(desc.lower != nullptr, "target descriptor has no lowering hook");
-  return desc.lower(fn, alloc, layout, desc, options);
-}
-
 MachineFunction finalize(const AsmFunction& asm_fn) {
   MachineFunction out;
   out.name = asm_fn.name;

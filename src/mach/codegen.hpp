@@ -6,10 +6,12 @@
 // transform the code before displacements are resolved. `finalize` turns an
 // AsmFunction into a linkable MachineFunction.
 //
-// The instruction selection itself is per-target: `emit_function` dispatches
-// to the descriptor's lowering hook (src/targets/<name>/lower.cpp), which
-// maps allocator colors to machine registers and RTL operations to the
-// target's legal subset of the universal op set.
+// Instruction selection is one shared emitter (mach/lower.hpp): it maps
+// allocator colors to machine registers and RTL operations to the target's
+// legal subset of the universal op set, asking the descriptor's `Lowering`
+// table (src/targets/<name>/lower.cpp) only for what the target's
+// instruction set does differently — compares, branches, wide constants and
+// indexed addressing.
 #pragma once
 
 #include "mach/program.hpp"
@@ -50,8 +52,9 @@ struct AsmFunction {
   [[nodiscard]] std::size_t label_pos(int label) const;
 };
 
-/// Emits machine code for an allocated RTL function by dispatching to the
-/// target's lowering hook. Constant-pool doubles are registered in `layout`.
+/// Emits machine code for an allocated RTL function through the shared
+/// emitter and the target's `Lowering` table. Constant-pool doubles are
+/// registered in `layout`.
 AsmFunction emit_function(const rtl::Function& fn,
                           const regalloc::Allocation& alloc,
                           DataLayout& layout, const TargetDesc& desc,

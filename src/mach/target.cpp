@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "mach/lower.hpp"
 #include "support/diagnostics.hpp"
 
 namespace vc::mach {
@@ -28,6 +29,17 @@ void check_fpr(const TargetDesc& d, const std::string& field, int r) {
 void validate_target(const TargetDesc& d) {
   if (d.name.empty()) bad("?", "name", "is empty");
   if (d.lower == nullptr) bad(d.name, "lower", "is null");
+  const Lowering& l = *d.lower;
+  if (l.compare_to_reg == nullptr || l.branch_cmp == nullptr ||
+      l.branch_nonzero == nullptr || l.access_indexed == nullptr)
+    bad(d.name, "lower", "has a null hook");
+  for (const auto& [field, op] :
+       {std::pair{"lower.hi_op", l.hi_op}, std::pair{"lower.lo_op", l.lo_op},
+        std::pair{"lower.shl_op", l.shl_op},
+        std::pair{"lower.shr_op", l.shr_op}})
+    if (!d.is_legal(op)) bad(d.name, field, "is not a legal op");
+  if (!d.is_legal(MOp::Neg) && d.zero_gpr == -1)
+    bad(d.name, "zero_gpr", "is needed to negate without a legal neg");
 
   if (d.issue_width < 1 || d.issue_width > 4)
     bad(d.name, "issue_width", "must be 1..4");

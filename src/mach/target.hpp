@@ -2,11 +2,27 @@
 // validator, and WCET layers need, packed into one value. The layers in
 // src/mach, src/regalloc, src/validate, src/machine and src/wcet are
 // target-neutral — they switch over the universal MOp enum and read register
-// roles, op legality/latency tables, issue rules, cache geometry and
-// peephole permissions from a TargetDesc. The concrete descriptors (and the
-// per-target RTL lowering they point to) live in src/targets/<name>; the
-// registry that maps `--target` names to descriptors is linked from there,
-// so this layer never names a target.
+// roles, op legality/latency tables, issue rules, cache geometry, peephole
+// permissions and the instruction-selection table from a TargetDesc. The
+// concrete descriptors (and the `Lowering` tables they point to) live in
+// src/targets/<name>; the registry that maps `--target` names to descriptors
+// is linked from there, so this layer never names a target
+// (tests/layering_check.cmake enforces it).
+//
+// To add a target, write src/targets/<name>/{target,lower}.cpp and register
+// the descriptor in src/targets/registry.cpp. The descriptor supplies:
+//   - register roles: stack pointer, small-data base, scratch and return
+//     registers, the allocator color maps, the argument windows, and the
+//     hardwired zero (needed when the op table has no `neg`);
+//   - the op table (legality, unit, latency) and issue rules;
+//   - the short-immediate range, which also bounds the stack frame;
+//   - cache geometry, branch/miss timing and peephole permissions;
+//   - `lower`, the instruction-selection table (mach/lower.hpp): the hi/lo
+//     opcodes, shift, rounding and relocations of wide constants and
+//     absolute addresses, the variable shift opcodes, and four hooks —
+//     compare into a register, compare-and-branch, branch on nonzero, and
+//     indexed global access.
+// validate_target checks all of it at registration.
 #pragma once
 
 #include <array>
@@ -17,25 +33,9 @@
 #include "mach/isa.hpp"
 #include "mach/timing.hpp"
 
-namespace vc::rtl {
-struct Function;
-}
-namespace vc::regalloc {
-struct Allocation;
-}
-
 namespace vc::mach {
 
-struct AsmFunction;
-class DataLayout;
-struct EmitOptions;
-struct TargetDesc;
-
-/// Per-target RTL lowering entry point (defined in src/targets/<name>).
-using LowerFn = AsmFunction (*)(const rtl::Function& fn,
-                                const regalloc::Allocation& alloc,
-                                DataLayout& layout, const TargetDesc& desc,
-                                const EmitOptions& options);
+struct Lowering;
 
 /// Static facts about one universal op on a given target.
 struct OpInfo {
@@ -92,7 +92,8 @@ struct TargetDesc {
 
   PeepholeRules peephole;
 
-  LowerFn lower = nullptr;
+  /// Instruction selection for the shared emitter (mach/lower.hpp).
+  const Lowering* lower = nullptr;
 
   [[nodiscard]] const OpInfo& op(MOp o) const {
     return ops[static_cast<std::size_t>(o)];

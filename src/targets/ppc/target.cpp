@@ -92,7 +92,7 @@ TargetDesc make_ppc() {
   d.peephole.fold_cmp_imm = true;
   d.peephole.fold_add_imm = true;
 
-  d.lower = &ppc_lower;
+  d.lower = &ppc_lowering;
   return d;
 }
 

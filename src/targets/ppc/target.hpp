@@ -2,11 +2,11 @@
 // the machine of the source paper's flight-control experiment. This module
 // owns every PPC fact — register roles and ABI, the op subset with its
 // latencies and units, dual-issue pairing rules, L1 geometry, peephole
-// permissions — plus the RTL lowering that maps allocator colors to
-// r14../f14.. and compiles compares through the condition register.
+// permissions — plus its instruction-selection table for the shared emitter
+// (mach/lower.hpp): lis/ori and @ha/@l halves, slw/sraw, compares through
+// the condition register, and x-form indexed accesses.
 #pragma once
 
-#include "mach/codegen.hpp"
 #include "mach/target.hpp"
 
 namespace vc::targets {
@@ -14,11 +14,7 @@ namespace vc::targets {
 /// The PPC descriptor (validated once at first use).
 const mach::TargetDesc& ppc_target();
 
-/// PPC RTL lowering (the descriptor's `lower` hook).
-mach::AsmFunction ppc_lower(const rtl::Function& fn,
-                            const regalloc::Allocation& alloc,
-                            mach::DataLayout& layout,
-                            const mach::TargetDesc& desc,
-                            const mach::EmitOptions& options);
+/// PPC instruction selection (the descriptor's `lower` table).
+extern const mach::Lowering ppc_lowering;
 
 }  // namespace vc::targets

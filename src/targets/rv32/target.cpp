@@ -94,7 +94,7 @@ TargetDesc make_rv32() {
   d.peephole.fold_cmp_imm = false;
   d.peephole.fold_add_imm = true;
 
-  d.lower = &rv32_lower;
+  d.lower = &rv32_lowering;
   return d;
 }
 

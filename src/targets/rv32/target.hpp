@@ -3,12 +3,12 @@
 // owns every RISC-V fact — register roles (hardwired x0, sp=x2, gp=x3 as the
 // small-data base, s-registers for the allocator, a-registers for arguments),
 // the legal op subset with its latencies, the 12-bit immediate discipline
-// (lui/addi pairs for wide constants), and an RTL lowering that has no
-// condition register: compares materialize 0/1 via slt/sltu/feq/flt/fle and
-// branches fuse into compare-and-branch (beq/bne/blt/bge).
+// (lui/addi pairs for wide constants), and an instruction-selection table
+// for the shared emitter (mach/lower.hpp) that has no condition register:
+// compares materialize 0/1 via slt/sltu/feq/flt/fle and branches fuse into
+// compare-and-branch (beq/bne/blt/bge).
 #pragma once
 
-#include "mach/codegen.hpp"
 #include "mach/target.hpp"
 
 namespace vc::targets {
@@ -16,11 +16,7 @@ namespace vc::targets {
 /// The RV32 descriptor (validated once at first use).
 const mach::TargetDesc& rv32_target();
 
-/// RV32 RTL lowering (the descriptor's `lower` hook).
-mach::AsmFunction rv32_lower(const rtl::Function& fn,
-                             const regalloc::Allocation& alloc,
-                             mach::DataLayout& layout,
-                             const mach::TargetDesc& desc,
-                             const mach::EmitOptions& options);
+/// RV32 instruction selection (the descriptor's `lower` table).
+extern const mach::Lowering rv32_lowering;
 
 }  // namespace vc::targets

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/compiler.hpp"
+#include "mach/target.hpp"
 #include "machine/machine.hpp"
 #include "minic/interp.hpp"
 #include "minic/parser.hpp"
@@ -204,6 +205,31 @@ TEST(Codegen, EveryBlockEndsInABranch) {
       EXPECT_TRUE(prev == MOp::B || prev == MOp::Bc || prev == MOp::Blr)
           << "fall-through into leader at index " << leader << " under "
           << driver::to_string(config);
+    }
+  }
+}
+
+TEST(Codegen, FrameBeyondImmediateRangeIsRejectedOnEveryTarget) {
+  // O0 gives every local its own 8-byte stack slot: 4100 of them need a
+  // frame past both targets' addi immediates. The shared prologue must
+  // reject it by name instead of emitting an unencodable stack adjustment.
+  std::string src = "func i32 big(i32 x) {\n";
+  for (int i = 0; i < 4100; ++i)
+    src += "  local i32 v" + std::to_string(i) + ";\n";
+  for (int i = 0; i < 4100; ++i)
+    src += "  v" + std::to_string(i) + " = x + " + std::to_string(i) + ";\n";
+  src += "  return v0 + v4099;\n}\n";
+  const auto program = parse(src);
+  for (const std::string& target : mach::target_names()) {
+    driver::CompileOptions options;
+    options.target = target;
+    try {
+      driver::compile_program(program, driver::Config::O0Pattern, options);
+      ADD_FAILURE() << target << ": oversized frame accepted";
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find("stack frame too large"),
+                std::string::npos)
+          << target << ": " << e.what();
     }
   }
 }

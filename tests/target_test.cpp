@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "mach/lower.hpp"
 #include "mach/target.hpp"
 #include "mach/timing.hpp"
 #include "support/diagnostics.hpp"
@@ -138,6 +139,44 @@ TEST(TargetValidation, BrokenDescriptorsAreNamedAndRejected) {
     TargetDesc d = good;
     d.ops[static_cast<std::size_t>(MOp::Add)].latency = 0;
     expect_rejected(d, "ops[add].latency");
+  }
+}
+
+TEST(TargetValidation, BrokenLoweringTablesAreNamedAndRejected) {
+  for (const std::string& name : target_names()) {
+    const TargetDesc& good = target_by_name(name);
+    MOp illegal = MOp::Nop;
+    for (std::size_t i = 0; i < kNumOps; ++i)
+      if (!good.is_legal(static_cast<MOp>(i))) illegal = static_cast<MOp>(i);
+    ASSERT_NE(illegal, MOp::Nop) << name;
+    {
+      Lowering lower = *good.lower;
+      lower.branch_cmp = nullptr;
+      TargetDesc d = good;
+      d.lower = &lower;
+      expect_rejected(d, "lower");
+    }
+    {
+      // The shared emitter would emit an op the target cannot execute.
+      Lowering lower = *good.lower;
+      lower.hi_op = illegal;
+      TargetDesc d = good;
+      d.lower = &lower;
+      expect_rejected(d, "lower.hi_op");
+    }
+    {
+      Lowering lower = *good.lower;
+      lower.shr_op = illegal;
+      TargetDesc d = good;
+      d.lower = &lower;
+      expect_rejected(d, "lower.shr_op");
+    }
+    if (!good.is_legal(MOp::Neg)) {
+      // Without neg, negation subtracts from the hardwired zero register.
+      TargetDesc d = good;
+      d.zero_gpr = -1;
+      expect_rejected(d, "zero_gpr");
+    }
   }
 }
 
