@@ -290,7 +290,15 @@ int run_connect(const std::string& socket_path, const std::string& path,
       ++failures;
       continue;
     }
+    // The envelope only says the daemon answered; the record says whether
+    // the job itself compiled, ran and analyzed.
     const json::Value& record = doc.at("record");
+    if (!record.at("ok").as_bool(false)) {
+      std::fprintf(stderr, "vcc: FAILED: %s (%s)\n", files[i].c_str(),
+                   record.at("error").as_string("unknown error").c_str());
+      ++failures;
+      continue;
+    }
     std::string line = files[i] + ": ok";
     line += " cache=" + doc.at("cache").as_string("miss");
     line += " bytes=" + std::to_string(record.at("code_bytes").as_u64());
