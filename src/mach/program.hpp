@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "minic/ast.hpp"
@@ -131,6 +132,10 @@ struct Image {
     return static_cast<std::uint32_t>(words.size()) * 4;
   }
   [[nodiscard]] std::uint32_t code_size_of(const std::string& fn) const;
+  /// [entry, end) of `fn`'s code. Throws CompileError naming `fn` and
+  /// listing the image's functions if the image has no such function.
+  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> fn_range(
+      const std::string& fn) const;
 
   /// Decodes the word at `addr` (must be within the code segment).
   [[nodiscard]] MInstr fetch(std::uint32_t addr) const;

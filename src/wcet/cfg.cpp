@@ -101,8 +101,7 @@ bool dominates(const std::vector<int>& idom, int a, int b) {
 }  // namespace
 
 Cfg build_cfg(const mach::Image& image, const std::string& fn_name) {
-  const std::uint32_t lo = image.fn_entry.at(fn_name);
-  const std::uint32_t hi = image.fn_end.at(fn_name);
+  const auto [lo, hi] = image.fn_range(fn_name);
 
   // Decode and find leaders.
   std::set<std::uint32_t> leaders{lo};

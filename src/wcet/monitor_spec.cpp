@@ -1,5 +1,7 @@
 #include "wcet/monitor_spec.hpp"
 
+#include <tuple>
+
 #include "mach/isa.hpp"
 #include "wcet/cfg.hpp"
 
@@ -12,8 +14,7 @@ machine::MonitorSpec build_monitor_spec(const mach::Image& image,
   machine::MonitorSpec spec;
   spec.function = fn_name;
   if (mode == machine::MonitorMode::Off) return spec;
-  spec.lo = image.fn_entry.at(fn_name);
-  spec.hi = image.fn_end.at(fn_name);
+  std::tie(spec.lo, spec.hi) = image.fn_range(fn_name);
 
   const Cfg cfg = build_cfg(image, fn_name);
 

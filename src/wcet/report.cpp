@@ -11,9 +11,9 @@ std::string format_report(const mach::Image& image, const std::string& fn_name,
                           const WcetResult& result) {
   std::string out;
   out += "WCET report for '" + fn_name + "'\n";
-  out += "  code:  " + hex32(image.fn_entry.at(fn_name)) + " .. " +
-         hex32(image.fn_end.at(fn_name)) + "  (" +
-         std::to_string(image.code_size_of(fn_name)) + " bytes)\n";
+  const auto [lo, hi] = image.fn_range(fn_name);
+  out += "  code:  " + hex32(lo) + " .. " + hex32(hi) + "  (" +
+         std::to_string(hi - lo) + " bytes)\n";
   out += "  bound: " + std::to_string(result.wcet_cycles) + " cycles\n";
 
   // Per-engine detail when more than the default structural engine ran.

@@ -374,9 +374,10 @@ WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
 
   const Cfg cfg = build_cfg(image, fn_name);
   AnnotIndex annots;
-  if (options.use_annotations)
-    annots = index_annotations(image, image.fn_entry.at(fn_name),
-                               image.fn_end.at(fn_name));
+  if (options.use_annotations) {
+    const auto [lo, hi] = image.fn_range(fn_name);
+    annots = index_annotations(image, lo, hi);
+  }
   result.warnings = annots.warnings;
 
   const ValueAnalysisResult values = analyze_values(cfg, annots, desc);
