@@ -72,21 +72,21 @@ double percentile(std::vector<double> values, double p) {
   return values[index];
 }
 
-/// Submits every job over `clients` concurrent pipelined connections and
+/// Submits every job over --clients concurrent pipelined connections and
 /// collects the replies (arrival order is arbitrary; ids route them).
 ArmResult run_arm(const std::string& arm, const std::string& socket_path,
                   const std::vector<SuiteJob>& jobs,
-                  const bench::BenchFlags& flags, int clients) {
+                  const bench::ServiceBenchFlags& flags) {
   ArmResult result;
   result.arm = arm;
   std::mutex merge_mutex;
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
-  for (int c = 0; c < clients; ++c) {
+  for (int c = 0; c < flags.clients; ++c) {
     threads.emplace_back([&, c] {
       std::vector<std::size_t> mine;
       for (std::size_t i = static_cast<std::size_t>(c); i < jobs.size();
-           i += static_cast<std::size_t>(clients))
+           i += static_cast<std::size_t>(flags.clients))
         mine.push_back(i);
       if (mine.empty()) return;
       service::ServiceClient client;
@@ -172,36 +172,11 @@ json::Value query_status(const std::string& socket_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Bench-specific flags, stripped before the shared parser sees argv.
-  int clients = 4;
-  int shards = 2;
-  std::string vccd_path = VCFLIGHT_VCCD_PATH;
-  std::string emit_suite;
-  std::vector<char*> pass_argv{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--clients=", 0) == 0) {
-      clients = std::atoi(arg.c_str() + 10);
-      if (clients < 1 || clients > 64) {
-        std::fprintf(stderr, "bench_service: bad --clients value\n");
-        return 2;
-      }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shards = std::atoi(arg.c_str() + 9);
-      if (shards < 1 || shards > 16) {
-        std::fprintf(stderr, "bench_service: bad --shards value\n");
-        return 2;
-      }
-    } else if (arg.rfind("--vccd=", 0) == 0) {
-      vccd_path = arg.substr(7);
-    } else if (arg.rfind("--emit-suite=", 0) == 0) {
-      emit_suite = arg.substr(13);
-    } else {
-      pass_argv.push_back(argv[i]);
-    }
-  }
-  const bench::BenchFlags flags = bench::parse_bench_flags(
-      static_cast<int>(pass_argv.size()), pass_argv.data(), "bench_service");
+  bench::ServiceBenchFlags defaults;
+  defaults.vccd = VCFLIGHT_VCCD_PATH;
+  const bench::ServiceBenchFlags flags = vc::flags::parse_flags_or_exit(
+      bench::service_bench_flag_table(), argc, argv, "bench_service",
+      defaults);
   const int nodes = flags.nodes > 0 ? flags.nodes : 40;
 
   std::vector<bench::NodeBundle> suite = bench::make_suite(nodes);
@@ -217,15 +192,15 @@ int main(int argc, char** argv) {
     jobs.push_back(std::move(job));
   }
 
-  if (!emit_suite.empty()) {
-    std::filesystem::create_directories(emit_suite);
+  if (!flags.emit_suite.empty()) {
+    std::filesystem::create_directories(flags.emit_suite);
     for (const SuiteJob& job : jobs) {
-      std::ofstream out(std::filesystem::path(emit_suite) /
+      std::ofstream out(std::filesystem::path(flags.emit_suite) /
                         (job.name + ".mc"));
       out << job.source;
     }
     std::printf("bench_service: wrote %zu .mc files to %s\n", jobs.size(),
-                emit_suite.c_str());
+                flags.emit_suite.c_str());
     return 0;
   }
 
@@ -241,7 +216,7 @@ int main(int argc, char** argv) {
   std::puts("=== vccd service campaign: daemon arms vs serial reference ===");
   std::printf("workload: %zu jobs (compile + 50 cycles + WCET), %d "
               "client(s), kill arm over %d shard(s)\n\n",
-              jobs.size(), clients, shards);
+              jobs.size(), flags.clients, flags.shards);
 
   // --- serial in-process reference --------------------------------------
   std::vector<driver::FleetUnit> units;
@@ -318,15 +293,15 @@ int main(int argc, char** argv) {
     }
   };
 
-  pid_t daemon = service::spawn_daemon(vccd_path, daemon_args);
+  pid_t daemon = service::spawn_daemon(flags.vccd, daemon_args);
   if (daemon <= 0 || !service::wait_until_ready(socket_path, 30.0)) {
     std::fprintf(stderr, "bench_service: cannot start %s\n",
-                 vccd_path.c_str());
+                 flags.vccd.c_str());
     return 1;
   }
-  const ArmResult cold = run_arm("cold", socket_path, jobs, flags, clients);
+  const ArmResult cold = run_arm("cold", socket_path, jobs, flags);
   check_arm(cold);
-  const ArmResult warm = run_arm("warm", socket_path, jobs, flags, clients);
+  const ArmResult warm = run_arm("warm", socket_path, jobs, flags);
   check_arm(warm);
   if (warm.incremental != jobs.size()) {
     std::fprintf(stderr,
@@ -345,13 +320,12 @@ int main(int argc, char** argv) {
                  drain1);
     failed = true;
   }
-  daemon = service::spawn_daemon(vccd_path, daemon_args);
+  daemon = service::spawn_daemon(flags.vccd, daemon_args);
   if (daemon <= 0 || !service::wait_until_ready(socket_path, 30.0)) {
     std::fprintf(stderr, "bench_service: cannot restart daemon\n");
     return 1;
   }
-  const ArmResult restart =
-      run_arm("restart", socket_path, jobs, flags, clients);
+  const ArmResult restart = run_arm("restart", socket_path, jobs, flags);
   check_arm(restart);
   const int drain2 = service::terminate_daemon(daemon, 30.0);
   if (drain2 != 0) {
@@ -363,8 +337,8 @@ int main(int argc, char** argv) {
   // Kill-one-shard: a sharded daemon loses one worker mid-campaign. The
   // supervisor must respawn it and resubmit; no job lost or duplicated.
   std::vector<std::string> shard_args = daemon_args;
-  shard_args.push_back("--shards=" + std::to_string(shards));
-  daemon = service::spawn_daemon(vccd_path, shard_args);
+  shard_args.push_back("--shards=" + std::to_string(flags.shards));
+  daemon = service::spawn_daemon(flags.vccd, shard_args);
   if (daemon <= 0 || !service::wait_until_ready(socket_path, 30.0)) {
     std::fprintf(stderr, "bench_service: cannot start sharded daemon\n");
     return 1;
@@ -381,7 +355,7 @@ int main(int argc, char** argv) {
     }
     kill_done.store(true);
   });
-  const ArmResult kill = run_arm("kill", socket_path, jobs, flags, clients);
+  const ArmResult kill = run_arm("kill", socket_path, jobs, flags);
   killer.join();
   check_arm(kill);
   // The respawn may still be settling; poll for the restart counter.
@@ -422,8 +396,10 @@ int main(int argc, char** argv) {
     json::Value doc;
     doc["schema"] = json::Value("vcflight-bench-service-v1");
     doc["jobs"] = json::Value(static_cast<std::uint64_t>(jobs.size()));
-    doc["clients"] = json::Value(static_cast<std::int64_t>(clients));
-    doc["shards"] = json::Value(static_cast<std::int64_t>(shards));
+    doc["clients"] =
+        json::Value(static_cast<std::int64_t>(flags.clients));
+    doc["shards"] =
+        json::Value(static_cast<std::int64_t>(flags.shards));
     doc["wcet_engine"] = json::Value(wcet::to_string(flags.wcet_engine));
     doc["validate"] = json::Value(driver::to_string(flags.validate));
     doc["monitor"] = json::Value(machine::to_string(flags.monitor));

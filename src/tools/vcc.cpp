@@ -46,7 +46,8 @@
 //                                    allocation counts) and the per-pass
 //                                    telemetry table after the run
 //     --batch                        compile every .mc file under <dir>
-//     --jobs=N                       batch worker threads (0 = all cores)
+//     --jobs=N                       batch worker threads (N >= 1; omit
+//                                    the flag for one per hardware thread)
 //     --cache-dir=DIR                batch: content-addressed artifact cache
 //     --cache-budget-mb=N            batch: cache LRU budget (0 = unlimited)
 //     --connect=SOCK                 submit to a running vccd daemon on the
@@ -64,7 +65,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -81,7 +81,6 @@
 #include "minic/typecheck.hpp"
 #include "mach/isa.hpp"
 #include "rtl/rtl.hpp"
-#include "support/strings.hpp"
 #include "support/workspace.hpp"
 #include "tools/vcc_cli.hpp"
 #include "validate/validate.hpp"
@@ -155,18 +154,6 @@ void dump_state(const std::string& pass, const pass::FunctionState& s) {
     if (pos == s.machine.ops.size()) std::printf("L%d:\n", label);
 }
 
-/// Splits a non-empty comma-separated --passes= list ("a,b,c").
-std::vector<std::string> split_pass_list(const std::string& spec) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = spec.find(',', start);
-    items.push_back(spec.substr(start, comma - start));
-    if (comma == std::string::npos) return items;
-    start = comma + 1;
-  }
-}
-
 std::string read_file_or_die(const std::string& path, int exit_code = 1) {
   std::ifstream in(path);
   if (!in) {
@@ -194,25 +181,12 @@ int run_batch_cli(const std::string& dir, const tools::BatchOptions& options) {
   return result.exit_code;
 }
 
-/// Everything one daemon-submitted job inherits from the command line.
-struct ConnectParams {
-  driver::Config config = driver::Config::Verified;
-  std::string target = "ppc";
-  driver::ValidateLevel validate = driver::ValidateLevel::Off;
-  std::string wcet_fn;  // empty = no WCET phase; "auto" resolves remotely
-  wcet::WcetEngine wcet_engine = wcet::WcetEngine::Structural;
-  bool use_annotations = true;
-  machine::MonitorMode monitor = machine::MonitorMode::Off;
-  bool ssa = false;
-  int exec_cycles = 0;
-};
-
 /// --connect mode: pipeline every file as one "job" request over the daemon
 /// socket, then collect the replies (which may arrive out of order) and
 /// print a per-file summary. Exit 0 = all ok, 1 = a job failed or the
 /// daemon dropped us, 2 = usage/environment.
 int run_connect(const std::string& socket_path, const std::string& path,
-                bool batch, const ConnectParams& params) {
+                bool batch, const service::JobRequest& proto) {
   namespace fs = std::filesystem;
   std::vector<std::string> files;
   if (batch) {
@@ -241,20 +215,10 @@ int run_connect(const std::string& socket_path, const std::string& path,
     return 2;
   }
   for (std::size_t i = 0; i < files.size(); ++i) {
-    service::JobRequest job;
+    service::JobRequest job = proto;
     job.id = static_cast<std::int64_t>(i);
     job.name = fs::path(files[i]).stem().string();
     job.source = read_file_or_die(files[i], /*exit_code=*/2);
-    job.entry = params.wcet_fn.empty() ? "auto" : params.wcet_fn;
-    job.config = params.config;
-    job.target = params.target;
-    job.validate = params.validate;
-    job.wcet = !params.wcet_fn.empty();
-    job.wcet_engine = params.wcet_engine;
-    job.use_annotations = params.use_annotations;
-    job.monitor = params.monitor;
-    job.ssa = params.ssa;
-    job.exec_cycles = params.exec_cycles;
     // Deterministic per-file seed, independent of reply order and shard
     // placement: the same derivation the fleet uses, keyed by sorted index.
     job.input_seed = driver::fleet_job_seed(7, i);
@@ -318,148 +282,46 @@ int run_connect(const std::string& socket_path, const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
-  driver::Config config = driver::Config::Verified;
-  bool emit_asm = false;
-  driver::ValidateLevel validate_level = driver::ValidateLevel::Off;
-  driver::CompileOptions copts;
-  bool stats = false;
-  bool profile = false;
-  bool use_annotations = true;
-  bool batch = false;
-  int jobs = 0;
-  std::string cache_dir;
-  std::uint64_t cache_budget_bytes = 0;
-  std::string wcet_fn;
-  wcet::WcetEngine wcet_engine = wcet::WcetEngine::Structural;
-  std::string run_spec;
-  machine::MonitorMode monitor_mode = machine::MonitorMode::Off;
-  std::string connect_sock;
-  int exec_cycles = 0;
-
-  tools::FlagConflicts conflicts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Contradictory repeats of single-valued flags are operator errors, not
-    // a last-one-wins shadowing. --disable-pass is the one repeatable flag.
-    if (const auto flag = tools::split_flag(arg);
-        flag && flag->name != "--disable-pass") {
-      if (const auto conflict = conflicts.note(flag->name, flag->value))
-        die(*conflict);
-    }
-    if (starts_with(arg, "--config=")) {
-      const auto parsed = tools::parse_config_name(arg.substr(9));
-      if (!parsed) die("unknown config '" + arg.substr(9) + "'");
-      config = *parsed;
-    } else if (starts_with(arg, "--target=")) {
-      const auto parsed = tools::parse_target_name(arg.substr(9));
-      if (!parsed) die("unknown target '" + arg.substr(9) + "'");
-      copts.target = *parsed;
-    } else if (arg == "--emit-asm") {
-      emit_asm = true;
-    } else if (arg == "--validate") {
-      validate_level = driver::ValidateLevel::Rtl;
-    } else if (starts_with(arg, "--validate=")) {
-      const auto parsed = tools::parse_validate_level(arg.substr(11));
-      if (!parsed) die("unknown validate level '" + arg.substr(11) + "'");
-      validate_level = *parsed;
-    } else if (arg == "--ssa") {
-      copts.ssa = true;
-    } else if (starts_with(arg, "--passes=")) {
-      if (arg.size() == 9) die("empty --passes value");
-      copts.passes = split_pass_list(arg.substr(9));
-    } else if (starts_with(arg, "--disable-pass=")) {
-      if (arg.size() == 15) die("empty --disable-pass value");
-      copts.disable_passes.push_back(arg.substr(15));
-    } else if (starts_with(arg, "--dump-after=")) {
-      if (arg.size() == 13) die("empty --dump-after value");
-      copts.dump_after = arg.substr(13);
-      copts.dump = dump_state;
-    } else if (arg == "--stats") {
-      stats = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--no-annotations") {
-      use_annotations = false;
-    } else if (arg == "--batch") {
-      batch = true;
-    } else if (starts_with(arg, "--jobs=")) {
-      const auto parsed = tools::parse_count_flag(arg.substr(7));
-      if (!parsed) die("bad --jobs value '" + arg.substr(7) + "'");
-      jobs = *parsed;
-    } else if (starts_with(arg, "--cache-dir=")) {
-      cache_dir = arg.substr(12);
-      if (cache_dir.empty()) die("empty --cache-dir value");
-    } else if (starts_with(arg, "--cache-budget-mb=")) {
-      const auto parsed = tools::parse_count_flag(arg.substr(18));
-      if (!parsed) die("bad --cache-budget-mb value '" + arg.substr(18) + "'");
-      cache_budget_bytes = static_cast<std::uint64_t>(*parsed) * 1024 * 1024;
-    } else if (starts_with(arg, "--wcet=")) {
-      wcet_fn = arg.substr(7);
-    } else if (starts_with(arg, "--wcet-engine=")) {
-      const auto parsed = tools::parse_wcet_engine_name(arg.substr(14));
-      if (!parsed) die("unknown wcet engine '" + arg.substr(14) + "'");
-      wcet_engine = *parsed;
-    } else if (starts_with(arg, "--run=")) {
-      run_spec = arg.substr(6);
-    } else if (starts_with(arg, "--monitor=")) {
-      const auto parsed = machine::parse_monitor_mode(arg.substr(10));
-      if (!parsed) die("unknown monitor mode '" + arg.substr(10) + "'");
-      monitor_mode = *parsed;
-    } else if (starts_with(arg, "--connect=")) {
-      connect_sock = arg.substr(10);
-      if (connect_sock.empty()) die("empty --connect value");
-    } else if (starts_with(arg, "--exec-cycles=")) {
-      const auto parsed = tools::parse_count_flag(arg.substr(14));
-      if (!parsed) die("bad --exec-cycles value '" + arg.substr(14) + "'");
-      exec_cycles = *parsed;
-    } else if (!starts_with(arg, "--") && path.empty()) {
-      path = arg;
-    } else {
-      usage();
-    }
-  }
-  if (path.empty()) usage();
-  // Pass-name problems are usage errors: diagnose them here at parse time
-  // (exit 2, listing the registered steps) instead of letting the pipeline
-  // resolver throw mid-compile (exit 1).
-  if (const auto bad = tools::check_pass_names(copts.passes)) die(*bad);
-  if (const auto bad = tools::check_pass_names(copts.disable_passes))
-    die(*bad);
-  if (copts.ssa && !copts.passes.empty())
+  const tools::VccOptions opts =
+      flags::parse_flags_or_exit(tools::vcc_flag_table(), argc, argv, "vcc");
+  if (opts.path.empty()) usage();
+  if (opts.ssa && !opts.passes.empty())
     die("--ssa conflicts with --passes (an explicit pass list already "
         "decides the pipeline; include the ssa-build .. ssa-out bracket "
         "there instead)");
 
-  if (!connect_sock.empty()) {
-    if (!run_spec.empty())
+  if (!opts.connect.empty()) {
+    if (!opts.run.empty())
       die("--run is local-only; use --exec-cycles=N with --connect");
-    ConnectParams params;
-    params.config = config;
-    params.target = copts.target;
-    params.validate = validate_level;
-    params.wcet_fn = wcet_fn;
-    params.wcet_engine = wcet_engine;
-    params.use_annotations = use_annotations;
-    params.monitor = monitor_mode;
-    params.ssa = copts.ssa;
-    params.exec_cycles = exec_cycles;
-    return run_connect(connect_sock, path, batch, params);
+    service::JobRequest job;
+    job.entry = opts.wcet.empty() ? "auto" : opts.wcet;
+    job.config = opts.config;
+    job.target = opts.target;
+    job.validate = opts.validate;
+    job.wcet = !opts.wcet.empty();
+    job.wcet_engine = opts.wcet_engine;
+    job.use_annotations = !opts.no_annotations;
+    job.monitor = opts.monitor;
+    job.ssa = opts.ssa;
+    job.exec_cycles = opts.exec_cycles;
+    return run_connect(opts.connect, opts.path, opts.batch, job);
   }
 
-  if (batch) {
-    tools::BatchOptions batch_options;
-    batch_options.config = config;
-    batch_options.target = copts.target;
-    batch_options.validate = validate_level;
-    batch_options.ssa = copts.ssa;
-    batch_options.jobs = jobs;
-    batch_options.cache_dir = cache_dir;
-    batch_options.cache_budget_bytes = cache_budget_bytes;
-    return run_batch_cli(path, batch_options);
+  if (opts.batch) {
+    tools::BatchOptions batch = opts;
+    batch.cache_budget_bytes =
+        static_cast<std::uint64_t>(opts.cache_budget_mb) * 1024 * 1024;
+    return run_batch_cli(opts.path, batch);
   }
 
-  const std::string source = read_file_or_die(path);
+  driver::CompileOptions copts;
+  copts.target = opts.target;
+  copts.ssa = opts.ssa;
+  copts.passes = opts.passes;
+  copts.disable_passes = opts.disable_passes;
+  copts.dump_after = opts.dump_after;
+  if (!opts.dump_after.empty()) copts.dump = dump_state;
+  const std::string source = read_file_or_die(opts.path);
 
   try {
     // --profile instrumentation: wall time + this thread's heap traffic per
@@ -467,7 +329,7 @@ int main(int argc, char** argv) {
     pass::PipelineStats pipeline_stats;
     std::vector<tools::ProfilePhase> phases;
     const auto measure = [&](const char* name, auto&& body) {
-      if (!profile) {
+      if (!opts.profile) {
         body();
         return;
       }
@@ -485,23 +347,23 @@ int main(int argc, char** argv) {
       phase.alloc_bytes = delta.bytes;
       phases.push_back(std::move(phase));
     };
-    if (profile) copts.stats = &pipeline_stats;
+    if (opts.profile) copts.stats = &pipeline_stats;
 
     minic::Program program;
     driver::Compiled compiled;
     measure("compile", [&] {
-      compiled = compile_source(source, path, config, validate_level,
+      compiled = compile_source(source, opts.path, opts.config, opts.validate,
                                 std::move(copts), &program);
     });
     std::fprintf(
         stderr, "vcc: compiled %zu function(s) under %s%s\n",
-        program.functions.size(), driver::to_string(config).c_str(),
-        validate_level != driver::ValidateLevel::Off
-            ? (" (validated: " + driver::to_string(validate_level) + ")")
+        program.functions.size(), driver::to_string(opts.config).c_str(),
+        opts.validate != driver::ValidateLevel::Off
+            ? (" (validated: " + driver::to_string(opts.validate) + ")")
                   .c_str()
             : "");
 
-    if (stats) {
+    if (opts.stats) {
       for (const auto& fn : program.functions)
         std::printf("%-32s %6u bytes\n", fn.name.c_str(),
                     compiled.image.code_size_of(fn.name));
@@ -509,27 +371,27 @@ int main(int argc, char** argv) {
                   compiled.image.code_size_bytes());
     }
 
-    if (emit_asm) std::fputs(compiled.image.disassemble().c_str(), stdout);
+    if (opts.emit_asm) std::fputs(compiled.image.disassemble().c_str(), stdout);
 
-    if (!wcet_fn.empty()) {
+    if (!opts.wcet.empty()) {
       wcet::WcetOptions options;
-      options.use_annotations = use_annotations;
-      options.engine = wcet_engine;
+      options.use_annotations = !opts.no_annotations;
+      options.engine = opts.wcet_engine;
       wcet::WcetResult r;
       measure("wcet", [&] {
-        r = wcet::analyze_wcet(compiled.image, wcet_fn, options);
+        r = wcet::analyze_wcet(compiled.image, opts.wcet, options);
       });
-      std::fputs(wcet::format_report(compiled.image, wcet_fn, r).c_str(),
+      std::fputs(wcet::format_report(compiled.image, opts.wcet, r).c_str(),
                  stdout);
     }
 
-    if (!run_spec.empty()) {
-      std::string fn_name = run_spec;
+    if (!opts.run.empty()) {
+      std::string fn_name = opts.run;
       std::string arg_spec;
-      const std::size_t colon = run_spec.find(':');
+      const std::size_t colon = opts.run.find(':');
       if (colon != std::string::npos) {
-        fn_name = run_spec.substr(0, colon);
-        arg_spec = run_spec.substr(colon + 1);
+        fn_name = opts.run.substr(0, colon);
+        arg_spec = opts.run.substr(colon + 1);
       }
       const minic::Function* fn = program.find_function(fn_name);
       if (fn == nullptr) {
@@ -540,13 +402,13 @@ int main(int argc, char** argv) {
       if (!call.ok()) die(call.error);
       machine::MonitorSpec monitor_spec;  // outlives the machine's monitor
       machine::Machine m(compiled.image);
-      if (monitor_mode != machine::MonitorMode::Off) {
+      if (opts.monitor != machine::MonitorMode::Off) {
         wcet::WcetOptions wopts;
-        wopts.use_annotations = use_annotations;
+        wopts.use_annotations = !opts.no_annotations;
         monitor_spec =
-            wcet::build_monitor_spec(compiled.image, fn_name, monitor_mode,
+            wcet::build_monitor_spec(compiled.image, fn_name, opts.monitor,
                                      wopts);
-        m.arm_monitor(monitor_spec, monitor_mode);
+        m.arm_monitor(monitor_spec, opts.monitor);
       }
       minic::Value result;
       measure("exec", [&] {
@@ -567,7 +429,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(m.monitor()->steps()));
     }
 
-    if (profile) {
+    if (opts.profile) {
       std::fputs(tools::format_profile(phases, pipeline_stats).c_str(),
                  stdout);
       // The workspace arena the pipeline's pooled scratch bumps into —

@@ -124,6 +124,30 @@ std::optional<wcet::WcetEngine> parse_wcet_engine_name(
   return wcet::parse_wcet_engine(name);
 }
 
+flags::Table<VccOptions> vcc_flag_table() {
+  using O = VccOptions;
+  flags::Table<O> t;
+  t.input = &O::path;
+  add_shared_flags(t)
+      .choice("--config", "config", parse_config_name, &O::config)
+      .boolean("--emit-asm", &O::emit_asm)
+      .boolean("--stats", &O::stats)
+      .boolean("--profile", &O::profile)
+      .boolean("--no-annotations", &O::no_annotations)
+      .boolean("--batch", &O::batch)
+      .count("--exec-cycles", 0, flags::kMaxCount, &O::exec_cycles)
+      .text("--wcet", &O::wcet)
+      .text("--run", &O::run)
+      .text("--dump-after", &O::dump_after)
+      .text("--connect", &O::connect)
+      .add({"--passes", true, std::nullopt, false,
+            [](O& o, const std::string& spec) {
+              o.passes = split_commas(spec);
+              return check_pass_names(o.passes).value_or("");
+            }});
+  return t;
+}
+
 CallArgs parse_call_args(const minic::Function& fn, const std::string& spec) {
   CallArgs out;
   const std::vector<std::string> items = split_commas(spec);
@@ -324,17 +348,6 @@ BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
   result.exit_code =
       result.io_errors > 0 ? 2 : (result.failures.empty() ? 0 : 1);
   return result;
-}
-
-std::optional<int> parse_count_flag(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || errno == ERANGE || v < 0 ||
-      v > 1000000)
-    return std::nullopt;
-  return static_cast<int>(v);
 }
 
 std::string format_profile(const std::vector<ProfilePhase>& phases,

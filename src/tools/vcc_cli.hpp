@@ -4,60 +4,19 @@
 // never silently truncated or zero-filled — vcc exits 2 on any of these.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "driver/compiler.hpp"
+#include "machine/monitor.hpp"
 #include "minic/ast.hpp"
 #include "minic/interp.hpp"
 #include "pass/pass.hpp"
+#include "support/flags.hpp"
 #include "wcet/wcet.hpp"
 
 namespace vc::tools {
-
-/// Detects repeated contradictory occurrences of single-valued flags.
-/// A flag repeated with the *same* value is tolerated (harmless, common in
-/// generated command lines); a repeat with a different value is a conflict:
-/// silently letting the last occurrence win hides operator errors like
-/// `--wcet-engine=ipet ... --wcet-engine=structural`, so strict CLIs
-/// diagnose it and exit 2. Header-only so the fleet benches share the exact
-/// same policy without linking the vcc driver library.
-class FlagConflicts {
- public:
-  /// Records `flag` (e.g. "--jobs") seen with `value`. Returns a diagnostic
-  /// if the flag was already seen with a different value, nullopt otherwise.
-  std::optional<std::string> note(const std::string& flag,
-                                  const std::string& value) {
-    const auto [it, inserted] = seen_.emplace(flag, value);
-    if (inserted || it->second == value) return std::nullopt;
-    return "conflicting values for " + flag + ": '" + it->second +
-           "' then '" + value + "' (remove one; repeated flags must agree)";
-  }
-
- private:
-  std::map<std::string, std::string> seen_;
-};
-
-/// Splits "--name=value" into its flag name (nullopt for non-flag words).
-/// Bare boolean flags ("--emit-asm") yield an empty value. The conflict
-/// guard treats a bare `--validate` as `--validate=rtl`, its documented
-/// meaning, so `--validate --validate=rtl` is a tolerated repeat.
-struct SplitFlag {
-  std::string name;
-  std::string value;
-};
-
-inline std::optional<SplitFlag> split_flag(const std::string& arg) {
-  if (arg.size() < 3 || arg[0] != '-' || arg[1] != '-') return std::nullopt;
-  const std::size_t eq = arg.find('=');
-  SplitFlag f;
-  f.name = arg.substr(0, eq);
-  if (eq != std::string::npos) f.value = arg.substr(eq + 1);
-  if (arg == "--validate") f.value = "rtl";
-  return f;
-}
 
 /// Maps a --config= name to a configuration; nullopt for unknown names.
 /// Accepts both the cli ("O2") and full ("O2-full") spellings — this is a
@@ -81,7 +40,7 @@ std::optional<std::string> check_pass_names(
 
 /// Maps a --validate= level name ("off", "rtl", "full") to the level;
 /// nullopt for unknown names. A bare --validate (no value) means Rtl, but
-/// that defaulting lives in the flag loop, not here.
+/// that defaulting lives in the flag tables, not here.
 std::optional<driver::ValidateLevel> parse_validate_level(
     const std::string& name);
 
@@ -105,11 +64,6 @@ struct CallArgs {
 /// i32 literals must be decimal integers in range; f64 literals anything
 /// strtod fully consumes.
 CallArgs parse_call_args(const minic::Function& fn, const std::string& spec);
-
-/// Parses a decimal unsigned integer flag value ("--jobs=N"); nullopt on
-/// malformed input or values outside [0, 1000000]. Negative values are
-/// malformed by policy: they must never reach the thread pool.
-std::optional<int> parse_count_flag(const std::string& text);
 
 /// One measured phase of a vcc invocation (compile / wcet / exec): wall time
 /// plus the heap traffic the phase performed on the calling thread
@@ -168,5 +122,53 @@ struct BatchResult {
 };
 
 BatchResult run_batch(const std::string& dir, const BatchOptions& options);
+
+/// vcc's command line (the flags are documented at the top of vcc.cpp):
+/// the batch options plus everything else. An omitted flag keeps the
+/// default; an omitted --jobs (0) means one worker per hardware thread.
+struct VccOptions : BatchOptions {
+  std::string path;  // the input file, or the directory with --batch
+  std::vector<std::string> passes;          // --passes=a,b,c
+  std::vector<std::string> disable_passes;  // --disable-pass (repeatable)
+  std::string dump_after;
+  bool emit_asm = false;
+  bool stats = false;
+  bool profile = false;
+  bool no_annotations = false;
+  bool batch = false;
+  int cache_budget_mb = 0;  // 0 = unlimited
+  std::string wcet;         // entry function; "auto" resolves on the daemon
+  wcet::WcetEngine wcet_engine = wcet::WcetEngine::Structural;
+  std::string run;          // FN[:a,b,...]
+  machine::MonitorMode monitor = machine::MonitorMode::Off;
+  std::string connect;      // vccd socket
+  int exec_cycles = 0;
+};
+
+/// The flags vcc shares with the fleet benches, declared once so their
+/// value languages cannot drift apart: O is any options struct with these
+/// fields (VccOptions, bench::BenchFlags). --disable-pass step names are
+/// checked against the registry at parse time.
+template <class O>
+flags::Table<O>& add_shared_flags(flags::Table<O>& t) {
+  return t.choice("--target", "target", parse_target_name, &O::target)
+      .choice("--validate", "validate level", parse_validate_level,
+              &O::validate, "rtl")
+      .choice("--wcet-engine", "wcet engine", parse_wcet_engine_name,
+              &O::wcet_engine)
+      .choice("--monitor", "monitor mode", machine::parse_monitor_mode,
+              &O::monitor)
+      .boolean("--ssa", &O::ssa)
+      .list("--disable-pass", &O::disable_passes,
+            [](const std::string& name) { return check_pass_names({name}); })
+      .text("--cache-dir", &O::cache_dir)
+      .count("--jobs", 1, flags::kMaxCount, &O::jobs)
+      .count("--cache-budget-mb", 0, flags::kMaxCount, &O::cache_budget_mb);
+}
+
+/// vcc's flag table. Step names in --passes are checked against the
+/// registry here, so a typo is a usage error (exit 2) listing the
+/// registered steps, never a mid-compile exception (exit 1).
+flags::Table<VccOptions> vcc_flag_table();
 
 }  // namespace vc::tools

@@ -11,12 +11,12 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "service/server.hpp"
 #include "service/supervisor.hpp"
+#include "tools/vccd_cli.hpp"
 
 namespace {
 
@@ -46,15 +46,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parse_int(const std::string& text, long* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 std::string self_exe_path(const char* argv0) {
   char buffer[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buffer, sizeof(buffer) - 1);
@@ -68,82 +59,36 @@ std::string self_exe_path(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string socket_path;
-  long jobs = 0;
-  long shards = 0;
-  long shard_index = -1;
-  std::string cache_dir;
-  long cache_budget_mb = 0;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&arg](const char* prefix) -> std::string {
-      return arg.substr(std::string(prefix).size());
-    };
-    if (arg.rfind("--socket=", 0) == 0) {
-      socket_path = value_of("--socket=");
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      if (!parse_int(value_of("--jobs="), &jobs) || jobs < 0) {
-        std::fprintf(stderr, "vccd: error: bad --jobs value: %s\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      if (!parse_int(value_of("--shards="), &shards) || shards < 0 ||
-          shards > 64) {
-        std::fprintf(stderr, "vccd: error: bad --shards value: %s\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--shard-index=", 0) == 0) {
-      if (!parse_int(value_of("--shard-index="), &shard_index) ||
-          shard_index < 0) {
-        std::fprintf(stderr, "vccd: error: bad --shard-index value: %s\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      cache_dir = value_of("--cache-dir=");
-    } else if (arg.rfind("--cache-budget-mb=", 0) == 0) {
-      if (!parse_int(value_of("--cache-budget-mb="), &cache_budget_mb) ||
-          cache_budget_mb < 0) {
-        std::fprintf(stderr,
-                     "vccd: error: bad --cache-budget-mb value: %s\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "vccd: error: unknown flag: %s\n", arg.c_str());
-      return usage(argv[0]);
-    }
+  const vc::tools::VccdOptions opts = vc::flags::parse_flags_or_exit(
+      vc::tools::vccd_flag_table(), argc, argv, "vccd");
+  if (opts.help) {
+    usage(argv[0]);
+    return 0;
   }
-  if (socket_path.empty()) {
+  if (opts.socket_path.empty()) {
     std::fprintf(stderr, "vccd: error: --socket=PATH is required\n");
     return usage(argv[0]);
   }
-  if (shards > 0 && shard_index >= 0) {
+  if (opts.shards > 0 && opts.shard_index >= 0) {
     std::fprintf(stderr,
                  "vccd: error: --shards and --shard-index are exclusive\n");
     return 2;
   }
 
-  if (shards > 0) {
+  if (opts.shards > 0) {
     vc::service::SupervisorOptions options;
-    options.socket_path = socket_path;
-    options.shards = static_cast<int>(shards);
+    options.socket_path = opts.socket_path;
+    options.shards = opts.shards;
     options.vccd_path = self_exe_path(argv[0]);
-    if (jobs > 0) {
-      options.shard_args.push_back("--jobs=" + std::to_string(jobs));
+    if (opts.jobs > 0) {
+      options.shard_args.push_back("--jobs=" + std::to_string(opts.jobs));
     }
-    if (!cache_dir.empty()) {
-      options.shard_args.push_back("--cache-dir=" + cache_dir);
+    if (!opts.cache_dir.empty()) {
+      options.shard_args.push_back("--cache-dir=" + opts.cache_dir);
     }
-    if (cache_budget_mb > 0) {
+    if (opts.cache_budget_mb > 0) {
       options.shard_args.push_back("--cache-budget-mb=" +
-                                   std::to_string(cache_budget_mb));
+                                   std::to_string(opts.cache_budget_mb));
     }
     vc::service::ShardSupervisor supervisor(options);
     std::string error;
@@ -153,20 +98,15 @@ int main(int argc, char** argv) {
     }
     g_supervisor = &supervisor;
     install_signal_handlers();
-    std::fprintf(stderr, "vccd: supervising %ld shards on %s\n", shards,
-                 socket_path.c_str());
+    std::fprintf(stderr, "vccd: supervising %d shards on %s\n", opts.shards,
+                 opts.socket_path.c_str());
     const int code = supervisor.serve();
     g_supervisor = nullptr;
     return code;
   }
 
-  vc::service::ServerOptions options;
-  options.socket_path = socket_path;
-  options.jobs = static_cast<int>(jobs);
-  options.cache_dir = cache_dir;
-  options.cache_budget_bytes =
-      static_cast<std::uint64_t>(cache_budget_mb) * 1024 * 1024;
-  options.shard_index = static_cast<int>(shard_index);
+  vc::service::ServerOptions options = opts;
+  options.cache_budget_bytes = opts.cache_budget_mb * 1024 * 1024;
   vc::service::ServiceServer server(options);
   std::string error;
   if (!server.start(&error)) {
@@ -175,8 +115,8 @@ int main(int argc, char** argv) {
   }
   g_server = &server;
   install_signal_handlers();
-  if (shard_index < 0) {
-    std::fprintf(stderr, "vccd: serving on %s\n", socket_path.c_str());
+  if (opts.shard_index < 0) {
+    std::fprintf(stderr, "vccd: serving on %s\n", opts.socket_path.c_str());
   }
   const int code = server.serve();
   g_server = nullptr;

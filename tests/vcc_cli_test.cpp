@@ -19,6 +19,11 @@ minic::Function two_param_fn() {
   return fn;
 }
 
+/// Parses a vcc command line (argv without the program name).
+flags::Parsed<VccOptions> parse_vcc(const std::vector<std::string>& args) {
+  return flags::parse_flags(vcc_flag_table(), args);
+}
+
 TEST(VccCliTest, ParsesWellFormedArguments) {
   const CallArgs args = parse_call_args(two_param_fn(), "4.5,-3");
   ASSERT_TRUE(args.ok()) << args.error;
@@ -122,14 +127,12 @@ TEST(VccCliTest, ParseTargetName) {
 }
 
 TEST(VccCliTest, TargetFlagConflictsAreContradictoryRepeats) {
-  FlagConflicts conflicts;
-  EXPECT_FALSE(conflicts.note("--target", "ppc").has_value());
-  EXPECT_FALSE(conflicts.note("--target", "ppc").has_value());
-  const auto conflict = conflicts.note("--target", "rv32");
-  ASSERT_TRUE(conflict.has_value());
-  EXPECT_NE(conflict->find("--target"), std::string::npos) << *conflict;
-  EXPECT_NE(conflict->find("'ppc'"), std::string::npos) << *conflict;
-  EXPECT_NE(conflict->find("'rv32'"), std::string::npos) << *conflict;
+  EXPECT_TRUE(parse_vcc({"--target=ppc", "--target=ppc"}).ok());
+  const std::string conflict =
+      parse_vcc({"--target=ppc", "--target=rv32"}).error;
+  EXPECT_NE(conflict.find("--target"), std::string::npos) << conflict;
+  EXPECT_NE(conflict.find("'ppc'"), std::string::npos) << conflict;
+  EXPECT_NE(conflict.find("'rv32'"), std::string::npos) << conflict;
 }
 
 TEST(VccCliTest, ParseWcetEngineName) {
@@ -144,64 +147,43 @@ TEST(VccCliTest, ParseWcetEngineName) {
   EXPECT_FALSE(parse_wcet_engine_name("").has_value());
 }
 
-TEST(VccCliTest, ParseCountFlag) {
-  EXPECT_EQ(parse_count_flag("8"), 8);
-  EXPECT_EQ(parse_count_flag("0"), 0);
-  EXPECT_FALSE(parse_count_flag("").has_value());
-  EXPECT_FALSE(parse_count_flag("abc").has_value());
-  EXPECT_FALSE(parse_count_flag("-1").has_value());
-  EXPECT_FALSE(parse_count_flag("8x").has_value());
-  EXPECT_FALSE(parse_count_flag("10000001").has_value());
+TEST(VccCliTest, CountFlagsAreBoundedIntegers) {
+  EXPECT_EQ(parse_vcc({"--exec-cycles=8"}).values.exec_cycles, 8);
+  EXPECT_EQ(parse_vcc({"--exec-cycles=0"}).values.exec_cycles, 0);
+  for (const char* bad : {"--exec-cycles=", "--exec-cycles=abc",
+                          "--exec-cycles=-1", "--exec-cycles=8x",
+                          "--exec-cycles=10000001"})
+    EXPECT_FALSE(parse_vcc({bad}).ok()) << bad;
 }
 
-TEST(VccCliTest, SplitFlagRecognizesFlagShapes) {
-  const auto f = split_flag("--jobs=4");
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->name, "--jobs");
-  EXPECT_EQ(f->value, "4");
+TEST(VccCliTest, FlagTableRecognizesFlagShapes) {
+  EXPECT_EQ(parse_vcc({"--jobs=4"}).values.jobs, 4);
+  EXPECT_TRUE(parse_vcc({"--emit-asm"}).values.emit_asm);
+  // Bare --validate means --validate=rtl.
+  EXPECT_EQ(parse_vcc({"--validate"}).values.validate,
+            driver::ValidateLevel::Rtl);
 
-  const auto bare = split_flag("--emit-asm");
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_EQ(bare->name, "--emit-asm");
-  EXPECT_EQ(bare->value, "");
-
-  // Bare --validate means --validate=rtl; the conflict guard must see them
-  // as the same value.
-  const auto v = split_flag("--validate");
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->value, "rtl");
-
-  // Non-flag words (file paths, "--") are not flags.
-  EXPECT_FALSE(split_flag("file.mc").has_value());
-  EXPECT_FALSE(split_flag("--").has_value());
-  EXPECT_FALSE(split_flag("-j4").has_value());
+  // Words that are not "--" flags are the positional input; "--" alone is
+  // an unknown flag.
+  EXPECT_EQ(parse_vcc({"file.mc"}).values.path, "file.mc");
+  EXPECT_EQ(parse_vcc({"-j4"}).values.path, "-j4");
+  EXPECT_FALSE(parse_vcc({"--"}).ok());
 }
 
 TEST(VccCliTest, FlagConflictsDiagnoseContradictoryRepeats) {
-  FlagConflicts conflicts;
-  EXPECT_FALSE(conflicts.note("--jobs", "4").has_value());
   // Agreeing repeat: tolerated.
-  EXPECT_FALSE(conflicts.note("--jobs", "4").has_value());
+  EXPECT_TRUE(parse_vcc({"--jobs=4", "--jobs=4"}).ok());
   // Contradictory repeat: diagnosed, naming both values.
-  const auto conflict = conflicts.note("--jobs", "8");
-  ASSERT_TRUE(conflict.has_value());
-  EXPECT_NE(conflict->find("--jobs"), std::string::npos) << *conflict;
-  EXPECT_NE(conflict->find("'4'"), std::string::npos) << *conflict;
-  EXPECT_NE(conflict->find("'8'"), std::string::npos) << *conflict;
+  const std::string conflict = parse_vcc({"--jobs=4", "--jobs=8"}).error;
+  EXPECT_NE(conflict.find("--jobs"), std::string::npos) << conflict;
+  EXPECT_NE(conflict.find("'4'"), std::string::npos) << conflict;
+  EXPECT_NE(conflict.find("'8'"), std::string::npos) << conflict;
   // Distinct flags never interact.
-  EXPECT_FALSE(conflicts.note("--nodes", "8").has_value());
+  EXPECT_TRUE(parse_vcc({"--jobs=4", "--exec-cycles=8"}).ok());
 
-  // The bare/= spellings of --validate agree through split_flag.
-  FlagConflicts validate;
-  EXPECT_FALSE(
-      validate.note(split_flag("--validate")->name,
-                    split_flag("--validate")->value).has_value());
-  EXPECT_FALSE(
-      validate.note(split_flag("--validate=rtl")->name,
-                    split_flag("--validate=rtl")->value).has_value());
-  EXPECT_TRUE(
-      validate.note(split_flag("--validate=full")->name,
-                    split_flag("--validate=full")->value).has_value());
+  // The bare/= spellings of --validate agree.
+  EXPECT_TRUE(parse_vcc({"--validate", "--validate=rtl"}).ok());
+  EXPECT_FALSE(parse_vcc({"--validate", "--validate=full"}).ok());
 }
 
 // -------------------------------------------------------------- --profile
@@ -245,18 +227,12 @@ TEST(VccProfileTest, AppendsPassTableWhenTelemetryPresent) {
   EXPECT_NE(out.find("(passes)"), std::string::npos) << out;
 }
 
-TEST(VccProfileTest, SplitFlagKeepsProfileBare) {
-  // `--profile` is a bare boolean: the valued spelling is a distinct name
-  // ("--profile=x" splits to name "--profile", value "x") which the vcc
-  // flag loop rejects with exit 2 (covered by the vcc_profile_cli ctest).
-  const auto bare = split_flag("--profile");
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_EQ(bare->name, "--profile");
-  EXPECT_TRUE(bare->value.empty());
-  const auto valued = split_flag("--profile=x");
-  ASSERT_TRUE(valued.has_value());
-  EXPECT_EQ(valued->name, "--profile");
-  EXPECT_EQ(valued->value, "x");
+TEST(VccProfileTest, ProfileIsABareFlag) {
+  // `--profile` is a bare boolean: the valued spelling is diagnosed (vcc
+  // exits 2, covered by the vcc_profile_cli ctest), never ignored.
+  EXPECT_TRUE(parse_vcc({"--profile"}).values.profile);
+  const std::string error = parse_vcc({"--profile=x"}).error;
+  EXPECT_NE(error.find("--profile"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------- --batch
