@@ -6,7 +6,8 @@
 //   cold     — fresh daemon, empty store: every job compiles cold;
 //   warm     — same daemon, same jobs: the incremental memo (dependency
 //              hash over source + config + pass pipeline + run params)
-//              answers everything without touching the queue or the disk;
+//              answers everything from memory: no compile, no disk, and no
+//              gather window;
 //   restart  — SIGTERM the daemon (must drain and exit 0), respawn over
 //              the same store directory, resubmit: the memo is gone, the
 //              persistent artifact index serves what validation allows;

@@ -63,11 +63,6 @@ std::int64_t Rat::floor() const {
   return -((-num_ + den_ - 1) / den_);
 }
 
-std::int64_t Rat::ceil() const {
-  if (num_ <= 0) return num_ / den_;
-  return (num_ + den_ - 1) / den_;
-}
-
 Rat Rat::operator+(const Rat& o) const {
   if (den_ == 1 && o.den_ == 1)
     return reduce(static_cast<__int128>(num_) + o.num_, 1);

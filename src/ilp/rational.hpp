@@ -33,8 +33,6 @@ class Rat {
   [[nodiscard]] bool is_integer() const { return den_ == 1; }
   /// Largest integer <= this (exact).
   [[nodiscard]] std::int64_t floor() const;
-  /// Smallest integer >= this (exact).
-  [[nodiscard]] std::int64_t ceil() const;
 
   [[nodiscard]] Rat operator+(const Rat& o) const;
   [[nodiscard]] Rat operator-(const Rat& o) const;

@@ -1,12 +1,12 @@
-// Two-phase dense tableau simplex with Bland's rule for anti-cycling and
-// depth-first branch-and-bound for integrality, in two exact pivot kernels:
+// Two-phase dense tableau simplex with Bland's rule for anti-cycling, in two
+// exact pivot kernels:
 //
 //  * Int64 fast lane (`Tableau64`): rows live in one flat row-major int64
 //    numerator array with a single denominator per row. A pivot is two
 //    128-bit multiplies and a subtract per cell followed by one gcd
 //    normalization pass per touched row — no per-cell gcd, no per-cell
 //    allocation. Tableau buffers come from a per-thread scratch pool reused
-//    across branch-and-bound nodes and across fleet jobs.
+//    across fleet jobs.
 //  * Rational lane (`Tableau`): the original per-cell Rat tableau.
 //
 // Both lanes follow the same Bland rule over the same exact values, so they
@@ -14,9 +14,13 @@
 // reduced fast-lane row no longer fits int64 the LP is transparently
 // re-solved on the rational lane (Solution::fast_fallbacks counts these).
 //
+// Besides the optimal vertex, both lanes read the dual multipliers off the
+// final objective row (see dual_column), which is what lets the checker prove
+// the objective maximal rather than merely attained.
+//
 // Untrusted by design: callers must pass the result through
-// check_certificate (verify.cpp) before believing it. Pivot and node
-// budgets turn pathological instances into InternalError instead of hangs.
+// check_certificate (verify.cpp) before believing it. A pivot budget turns
+// pathological instances into InternalError instead of hangs.
 #include "ilp/solver.hpp"
 
 #include <algorithm>
@@ -27,11 +31,10 @@ namespace {
 // Far above anything the IPET systems need (they solve in tens of pivots);
 // a hit means a malformed system or a solver bug, not a big input.
 constexpr std::int64_t kMaxPivots = 200000;
-constexpr std::int64_t kMaxBnbNodes = 20000;
 
 /// Internal unwinding token of the fast lane: a reduced value fell outside
 /// the int64 budget, so the LP must be re-solved on the rational lane. Never
-/// escapes solve_lp_counted.
+/// escapes solve.
 struct FastOverflow {};
 
 std::int64_t fit64(__int128 v) {
@@ -61,9 +64,67 @@ std::int64_t gcd64(std::int64_t a, std::int64_t b) {
   return a;
 }
 
-/// Reusable tableau buffers, one set per thread: branch-and-bound re-solves
-/// an LP per node and the fleet runs thousands of IPET systems per worker,
-/// so the flat arrays are assigned into instead of reallocated.
+/// Column layout shared by both lanes: the structural columns, one
+/// slack/surplus column per inequality, one artificial column per row that
+/// cannot start basic on its slack, then the rhs. A row with a negative rhs
+/// is negated first (Le and Ge swap), so slack signs and artificials are
+/// decided on the negated row.
+struct Layout {
+  std::vector<int> slack_col;      // -1 on Eq rows
+  std::vector<int> artif_col;      // -1 on rows that start basic on a slack
+  std::vector<Sense> sense;        // after the negation
+  std::vector<std::uint8_t> flip;  // row negated so that its rhs is >= 0
+  int width = 0;                   // all columns, rhs included
+};
+
+void plan_layout(const Problem& problem, Layout* out) {
+  const std::size_t m = problem.constraints.size();
+  out->slack_col.assign(m, -1);
+  out->artif_col.assign(m, -1);
+  out->sense.resize(m);
+  out->flip.assign(m, 0);
+  int n_total = problem.num_vars;
+  for (std::size_t i = 0; i < m; ++i)
+    if (problem.constraints[i].sense != Sense::Eq)
+      out->slack_col[i] = n_total++;
+  for (std::size_t i = 0; i < m; ++i) {
+    const Constraint& c = problem.constraints[i];
+    Sense sense = c.sense;
+    if (c.rhs < Rat(0)) {
+      out->flip[i] = 1;
+      if (sense == Sense::Le) sense = Sense::Ge;
+      else if (sense == Sense::Ge) sense = Sense::Le;
+    }
+    out->sense[i] = sense;
+    if (sense != Sense::Le) out->artif_col[i] = n_total++;
+  }
+  out->width = n_total + 1;
+}
+
+/// Where row `i`'s dual multiplier y_i is read: a column only that row
+/// has, its slack/surplus or its artificial. Every objective-row update
+/// subtracts multiples of rows, so the final row is c - sum_i y_i * (row i as
+/// stated, slack and artificial columns included). At row i's own column
+/// that reads d = -y_i * e, with e = +1 for a Le slack, -1 for a Ge surplus,
+/// and +1 or -1 for an Eq artificial as the row was kept or negated; so
+/// y_i = -d on Le rows and kept Eq rows, +d otherwise. A row dropped as
+/// redundant was never a pivot row, so its artificial column stays zero and
+/// its y_i reads 0.
+struct DualColumn {
+  int col;
+  bool negate;
+};
+
+DualColumn dual_column(const Problem& problem, const Layout& layout,
+                       std::size_t i) {
+  const Sense sense = problem.constraints[i].sense;
+  if (sense == Sense::Eq) return {layout.artif_col[i], layout.flip[i] == 0};
+  return {layout.slack_col[i], sense == Sense::Le};
+}
+
+/// Reusable tableau buffers, one set per thread: the fleet solves thousands
+/// of IPET systems per worker, so the flat arrays are assigned into instead
+/// of reallocated.
 struct SolveScratch {
   std::vector<std::int64_t> cells;  // m x width numerators, row-major
   std::vector<std::int64_t> den;    // per-row denominator, always > 0
@@ -71,6 +132,7 @@ struct SolveScratch {
   std::vector<int> basis;
   std::vector<std::uint8_t> artificial;
   std::vector<__int128> wide;       // row-update intermediates
+  Layout layout;
 };
 
 SolveScratch& thread_scratch() {
@@ -82,9 +144,8 @@ SolveScratch& thread_scratch() {
 // Int64 fast lane
 // ---------------------------------------------------------------------------
 
-/// Dense simplex tableau over int64 numerators with one denominator per row.
-/// Column layout matches the rational lane: [structural | slack/artificial]
-/// plus one rhs column; the objective row stores reduced costs with its rhs
+/// Dense simplex tableau over int64 numerators with one denominator per row,
+/// on the shared Layout; the objective row stores reduced costs with its rhs
 /// cell holding the negated objective value.
 class Tableau64 {
  public:
@@ -94,8 +155,9 @@ class Tableau64 {
     build(problem);
   }
 
-  Status solve(const Problem& problem, std::vector<Rat>* values,
-               Rat* objective) {
+  /// Runs phase 1 (if artificials exist) and phase 2. On Optimal, fills
+  /// the objective, the structural values and the duals of `sol`.
+  Status solve(const Problem& problem, Solution* sol) {
     if (!artificial_empty_) {
       if (!run_phase1()) return Status::Infeasible;
     }
@@ -104,13 +166,18 @@ class Tableau64 {
     // -obj_rhs / obj_den, negated without Rat::operator- so the only
     // failure mode here is FastOverflow (fraction() cannot throw on
     // already-reduced int64 inputs).
-    const std::int64_t neg = fit64(-static_cast<__int128>(s_.obj[rhs_col()]));
-    *objective = Rat::fraction(neg, obj_den_);
-    values->assign(static_cast<std::size_t>(n_struct_), Rat(0));
+    sol->objective = Rat::fraction(negate(s_.obj[rhs_col()]), obj_den_);
+    sol->values.assign(static_cast<std::size_t>(n_struct_), Rat(0));
     for (std::size_t i = 0; i < m_; ++i)
       if (s_.basis[i] < n_struct_)
-        (*values)[static_cast<std::size_t>(s_.basis[i])] =
+        sol->values[static_cast<std::size_t>(s_.basis[i])] =
             Rat::fraction(cell(i, rhs_col()), s_.den[i]);
+    sol->duals.resize(problem.constraints.size());
+    for (std::size_t i = 0; i < sol->duals.size(); ++i) {
+      const DualColumn d = dual_column(problem, s_.layout, i);
+      const std::int64_t num = s_.obj[static_cast<std::size_t>(d.col)];
+      sol->duals[i] = Rat::fraction(d.negate ? negate(num) : num, obj_den_);
+    }
     return Status::Optimal;
   }
 
@@ -121,35 +188,23 @@ class Tableau64 {
   [[nodiscard]] std::int64_t& cell(std::size_t row, std::size_t col) {
     return s_.cells[row * static_cast<std::size_t>(width_) + col];
   }
+  static std::int64_t negate(std::int64_t v) {
+    return fit64(-static_cast<__int128>(v));
+  }
 
   void build(const Problem& problem) {
-    const int m = static_cast<int>(problem.constraints.size());
-    int n_total = n_struct_;
-    std::vector<int> slack_col(static_cast<std::size_t>(m), -1);
-    for (int i = 0; i < m; ++i)
-      if (problem.constraints[static_cast<std::size_t>(i)].sense != Sense::Eq)
-        slack_col[static_cast<std::size_t>(i)] = n_total++;
-    std::vector<int> artif_col(static_cast<std::size_t>(m), -1);
-    for (int i = 0; i < m; ++i) {
-      const Constraint& c = problem.constraints[static_cast<std::size_t>(i)];
-      // Decide after sign normalization, exactly like the rational lane.
-      const bool flip = c.rhs < Rat(0);
-      Sense sense = c.sense;
-      if (flip && sense == Sense::Le) sense = Sense::Ge;
-      else if (flip && sense == Sense::Ge) sense = Sense::Le;
-      if (sense != Sense::Le) artif_col[static_cast<std::size_t>(i)] = n_total++;
-    }
-    width_ = n_total + 1;
-    m_ = static_cast<std::size_t>(m);
+    const Layout& layout = s_.layout;
+    plan_layout(problem, &s_.layout);
+    width_ = layout.width;
+    m_ = problem.constraints.size();
 
-    s_.artificial.assign(static_cast<std::size_t>(n_total), 0);
+    s_.artificial.assign(static_cast<std::size_t>(width_ - 1), 0);
     s_.cells.assign(m_ * static_cast<std::size_t>(width_), 0);
     s_.den.assign(m_, 1);
     s_.basis.assign(m_, -1);
 
-    for (int i = 0; i < m; ++i) {
-      const Constraint& c = problem.constraints[static_cast<std::size_t>(i)];
-      const auto row = static_cast<std::size_t>(i);
+    for (std::size_t row = 0; row < m_; ++row) {
+      const Constraint& c = problem.constraints[row];
       // Accumulate terms over a running row denominator (lcm of the
       // coefficient denominators); coefficients are almost always integral,
       // so the rescale loop rarely runs.
@@ -159,20 +214,15 @@ class Tableau64 {
         add_into(row, static_cast<std::size_t>(t.var), t.coeff);
       }
       add_into(row, rhs_col(), c.rhs);
-      const bool flip = c.rhs < Rat(0);
-      Sense sense = c.sense;
-      if (flip) {
+      if (layout.flip[row] != 0)
         for (int j = 0; j < width_; ++j)
           cell(row, static_cast<std::size_t>(j)) =
-              fit64(-static_cast<__int128>(cell(row, static_cast<std::size_t>(j))));
-        if (sense == Sense::Le) sense = Sense::Ge;
-        else if (sense == Sense::Ge) sense = Sense::Le;
-      }
-      const int sc = slack_col[row];
+              negate(cell(row, static_cast<std::size_t>(j)));
+      const int sc = layout.slack_col[row];
       if (sc >= 0)
         cell(row, static_cast<std::size_t>(sc)) =
-            sense == Sense::Ge ? -s_.den[row] : s_.den[row];
-      const int ac = artif_col[row];
+            layout.sense[row] == Sense::Ge ? -s_.den[row] : s_.den[row];
+      const int ac = layout.artif_col[row];
       if (ac >= 0) {
         cell(row, static_cast<std::size_t>(ac)) = s_.den[row];
         s_.artificial[static_cast<std::size_t>(ac)] = 1;
@@ -404,10 +454,10 @@ class Tableau64 {
     const std::int64_t pe = cell(prow, static_cast<std::size_t>(enter));
     if (pe < 0) {
       for (int j = 0; j < width_; ++j)
-        cell(prow, static_cast<std::size_t>(j)) = fit64(
-            -static_cast<__int128>(cell(prow, static_cast<std::size_t>(j))));
+        cell(prow, static_cast<std::size_t>(j)) =
+            negate(cell(prow, static_cast<std::size_t>(j)));
     }
-    s_.den[prow] = pe < 0 ? fit64(-static_cast<__int128>(pe)) : pe;
+    s_.den[prow] = pe < 0 ? negate(pe) : pe;
     normalize_row(prow);
     for (std::size_t i = 0; i < m_; ++i)
       if (i != prow) update_row(i, prow, enter);
@@ -429,7 +479,7 @@ class Tableau64 {
 // Rational lane (the original tableau, now the overflow fallback)
 // ---------------------------------------------------------------------------
 
-/// Dense simplex tableau over per-cell rationals. Column layout: see
+/// Dense simplex tableau over per-cell rationals, on the same Layout as
 /// Tableau64; the two lanes must make identical pivoting decisions.
 class Tableau {
  public:
@@ -438,20 +488,25 @@ class Tableau {
     build(problem);
   }
 
-  /// Runs phase 1 (if artificials exist) and phase 2. Returns the status;
-  /// on Optimal, fills `values` (structural vars only) and `objective`.
-  Status solve(const Problem& problem, std::vector<Rat>* values,
-               Rat* objective) {
+  /// Runs phase 1 (if artificials exist) and phase 2. On Optimal, fills
+  /// the objective, the structural values and the duals of `sol`.
+  Status solve(const Problem& problem, Solution* sol) {
     if (!artificial_.empty()) {
       if (!run_phase1()) return Status::Infeasible;
     }
     set_phase2_objective(problem);
     if (!run_simplex()) return Status::Unbounded;
-    *objective = -obj_[width_ - 1];
-    values->assign(static_cast<std::size_t>(n_struct_), Rat(0));
+    sol->objective = -obj_[rhs_col()];
+    sol->values.assign(static_cast<std::size_t>(n_struct_), Rat(0));
     for (std::size_t i = 0; i < basis_.size(); ++i)
       if (basis_[i] < n_struct_)
-        (*values)[static_cast<std::size_t>(basis_[i])] = rows_[i][rhs_col()];
+        sol->values[static_cast<std::size_t>(basis_[i])] = rows_[i][rhs_col()];
+    sol->duals.resize(problem.constraints.size());
+    for (std::size_t i = 0; i < sol->duals.size(); ++i) {
+      const DualColumn d = dual_column(problem, layout_, i);
+      const Rat& reduced = obj_[static_cast<std::size_t>(d.col)];
+      sol->duals[i] = d.negate ? -reduced : reduced;
+    }
     return Status::Optimal;
   }
 
@@ -461,59 +516,35 @@ class Tableau {
   }
 
   void build(const Problem& problem) {
-    const int m = static_cast<int>(problem.constraints.size());
-    // One slack/surplus column per inequality, one artificial per Ge/Eq row.
-    int n_total = n_struct_;
-    std::vector<int> slack_col(static_cast<std::size_t>(m), -1);
-    for (int i = 0; i < m; ++i)
-      if (problem.constraints[static_cast<std::size_t>(i)].sense != Sense::Eq)
-        slack_col[static_cast<std::size_t>(i)] = n_total++;
-    std::vector<int> artif_col(static_cast<std::size_t>(m), -1);
-    for (int i = 0; i < m; ++i) {
-      const Constraint& c = problem.constraints[static_cast<std::size_t>(i)];
-      // Le rows with rhs >= 0 start feasible on their slack; everything
-      // else needs an artificial. (Negative-rhs rows are sign-flipped
-      // below, which can turn Le into Ge and vice versa — decide after
-      // normalization, so compute the flipped sense here.)
-      const bool flip = c.rhs < Rat(0);
-      Sense sense = c.sense;
-      if (flip && sense == Sense::Le) sense = Sense::Ge;
-      else if (flip && sense == Sense::Ge) sense = Sense::Le;
-      if (sense != Sense::Le) artif_col[static_cast<std::size_t>(i)] = n_total++;
-    }
-    width_ = n_total + 1;
-    artificial_.assign(static_cast<std::size_t>(n_total), false);
+    plan_layout(problem, &layout_);
+    width_ = layout_.width;
+    artificial_.assign(static_cast<std::size_t>(width_ - 1), false);
 
-    rows_.assign(static_cast<std::size_t>(m),
-                 std::vector<Rat>(static_cast<std::size_t>(width_), Rat(0)));
-    basis_.assign(static_cast<std::size_t>(m), -1);
-    for (int i = 0; i < m; ++i) {
-      const Constraint& c = problem.constraints[static_cast<std::size_t>(i)];
-      std::vector<Rat>& row = rows_[static_cast<std::size_t>(i)];
+    const std::size_t m = problem.constraints.size();
+    rows_.assign(m, std::vector<Rat>(static_cast<std::size_t>(width_), Rat(0)));
+    basis_.assign(m, -1);
+    for (std::size_t i = 0; i < m; ++i) {
+      const Constraint& c = problem.constraints[i];
+      std::vector<Rat>& row = rows_[i];
       for (const LinTerm& t : c.terms) {
         check(t.var >= 0 && t.var < n_struct_,
               "ilp: constraint references variable out of range");
         row[static_cast<std::size_t>(t.var)] += t.coeff;
       }
       row[rhs_col()] = c.rhs;
-      const bool flip = c.rhs < Rat(0);
-      Sense sense = c.sense;
-      if (flip) {
+      if (layout_.flip[i] != 0)
         for (Rat& v : row) v = -v;
-        if (sense == Sense::Le) sense = Sense::Ge;
-        else if (sense == Sense::Ge) sense = Sense::Le;
-      }
-      const int sc = slack_col[static_cast<std::size_t>(i)];
+      const int sc = layout_.slack_col[i];
       if (sc >= 0)
         row[static_cast<std::size_t>(sc)] =
-            (sense == Sense::Ge) ? Rat(-1) : Rat(1);
-      const int ac = artif_col[static_cast<std::size_t>(i)];
+            layout_.sense[i] == Sense::Ge ? Rat(-1) : Rat(1);
+      const int ac = layout_.artif_col[i];
       if (ac >= 0) {
         row[static_cast<std::size_t>(ac)] = Rat(1);
         artificial_[static_cast<std::size_t>(ac)] = true;
-        basis_[static_cast<std::size_t>(i)] = ac;
+        basis_[i] = ac;
       } else {
-        basis_[static_cast<std::size_t>(i)] = sc;  // Le row: slack is basic
+        basis_[i] = sc;  // Le row: slack is basic
       }
     }
     // Shrink artificial_ bookkeeping: if no artificials were allocated,
@@ -647,14 +678,17 @@ class Tableau {
   std::vector<Rat> obj_;
   std::vector<int> basis_;
   std::vector<bool> artificial_;  // empty when no artificial columns exist
+  Layout layout_;
   std::int64_t* pivot_budget_;
 };
 
-Solution solve_lp_counted(const Problem& problem, PivotKernel kernel,
-                          std::int64_t* pivots, std::int64_t* fallbacks) {
+}  // namespace
+
+Solution solve(const Problem& problem, PivotKernel kernel) {
   Solution sol;
   if (problem.num_vars == 0) {
-    // Degenerate: only constant constraints. Feasible iff each holds at 0.
+    // Degenerate: only constant constraints. Feasible iff each holds at 0;
+    // then y = 0 certifies the objective 0.
     for (const Constraint& c : problem.constraints) {
       check(c.terms.empty(), "ilp: constraint references variable out of range");
       const bool ok = c.sense == Sense::Le   ? Rat(0) <= c.rhs
@@ -663,96 +697,24 @@ Solution solve_lp_counted(const Problem& problem, PivotKernel kernel,
       if (!ok) return sol;  // Infeasible
     }
     sol.status = Status::Optimal;
+    sol.duals.assign(problem.constraints.size(), Rat(0));
     return sol;
   }
   if (kernel != PivotKernel::Rational) {
     try {
-      Tableau64 tableau(problem, pivots, &thread_scratch());
-      sol.status = tableau.solve(problem, &sol.values, &sol.objective);
+      Tableau64 tableau(problem, &sol.pivots, &thread_scratch());
+      sol.status = tableau.solve(problem, &sol);
       return sol;
     } catch (const FastOverflow&) {
       check(kernel != PivotKernel::Int64,
             "ilp: int64 pivot kernel overflow (forced lane; Auto would fall "
             "back to the rational tableau)");
-      ++*fallbacks;  // Auto: re-solve exactly on the rational lane
+      ++sol.fast_fallbacks;  // Auto: re-solve exactly on the rational lane
     }
   }
-  Tableau tableau(problem, pivots);
-  sol.status = tableau.solve(problem, &sol.values, &sol.objective);
+  Tableau tableau(problem, &sol.pivots);
+  sol.status = tableau.solve(problem, &sol);
   return sol;
-}
-
-/// Depth-first branch and bound; `problem` is extended in place with bound
-/// constraints and restored on unwind.
-void branch(Problem* problem, PivotKernel kernel, Solution* best,
-            std::int64_t* pivots, std::int64_t* nodes,
-            std::int64_t* fallbacks) {
-  check(++*nodes <= kMaxBnbNodes, "ilp: branch-and-bound node limit exceeded");
-  Solution relax = solve_lp_counted(*problem, kernel, pivots, fallbacks);
-  if (relax.status != Status::Optimal) return;  // pruned: infeasible subtree
-  if (best->status == Status::Optimal && relax.objective <= best->objective)
-    return;  // pruned: cannot beat the incumbent
-  int frac = -1;
-  for (std::size_t j = 0; j < relax.values.size(); ++j)
-    if (!relax.values[j].is_integer()) {
-      frac = static_cast<int>(j);
-      break;
-    }
-  if (frac < 0) {
-    *best = relax;  // integral and better than the incumbent
-    return;
-  }
-  const Rat v = relax.values[static_cast<std::size_t>(frac)];
-  Constraint bound;
-  bound.terms = {{frac, Rat(1)}};
-  bound.tag = "bnb";
-  // x_frac <= floor(v) branch, then x_frac >= ceil(v).
-  bound.sense = Sense::Le;
-  bound.rhs = Rat(v.floor());
-  problem->constraints.push_back(bound);
-  branch(problem, kernel, best, pivots, nodes, fallbacks);
-  problem->constraints.back().sense = Sense::Ge;
-  problem->constraints.back().rhs = Rat(v.ceil());
-  branch(problem, kernel, best, pivots, nodes, fallbacks);
-  problem->constraints.pop_back();
-}
-
-}  // namespace
-
-Solution solve_lp(const Problem& problem, PivotKernel kernel) {
-  std::int64_t pivots = 0;
-  std::int64_t fallbacks = 0;
-  Solution sol = solve_lp_counted(problem, kernel, &pivots, &fallbacks);
-  sol.pivots = pivots;
-  sol.bnb_nodes = 1;
-  sol.fast_fallbacks = fallbacks;
-  return sol;
-}
-
-Solution solve(const Problem& problem, PivotKernel kernel) {
-  if (!problem.integer) return solve_lp(problem, kernel);
-  std::int64_t pivots = 0;
-  std::int64_t fallbacks = 0;
-  // Root relaxation decides infeasible/unbounded up front; branching only
-  // ever tightens, so those statuses are final.
-  Solution root = solve_lp_counted(problem, kernel, &pivots, &fallbacks);
-  if (root.status != Status::Optimal) {
-    root.pivots = pivots;
-    root.bnb_nodes = 1;
-    root.fast_fallbacks = fallbacks;
-    return root;
-  }
-  Solution best;  // status Infeasible until an integral point is found
-  std::int64_t nodes = 0;
-  Problem scratch = problem;
-  branch(&scratch, kernel, &best, &pivots, &nodes, &fallbacks);
-  check(best.status == Status::Optimal,
-        "ilp: integer problem has a feasible relaxation but no integral "
-        "point within the branch-and-bound budget");
-  best.pivots = pivots;
-  best.bnb_nodes = nodes;
-  best.fast_fallbacks = fallbacks;
-  return best;
 }
 
 }  // namespace vc::ilp

@@ -1,17 +1,19 @@
-// Exact LP/ILP solving for implicit path enumeration.
+// Exact LP solving for implicit path enumeration.
 //
 // The problem shape is fixed by the IPET lowering (src/wcet/ipet.cpp):
 // maximize a linear objective over non-negative variables subject to
-// <=/>=/= constraints, with all variables required integral. The solver is
-// a dense two-phase primal simplex over exact rationals with Bland's rule
-// (anti-cycling), plus depth-first branch-and-bound for integrality.
+// <=/>=/= constraints. The solver is a dense two-phase primal simplex over
+// exact rationals with Bland's rule (anti-cycling). It solves the LP only:
+// the LP optimum bounds every integral solution from above, which is all a
+// WCET bound needs.
 //
 // Trust boundary: nothing in solver.cpp is trusted. A solution is only
-// accepted after verify.cpp::check_certificate re-evaluates every
-// constraint and the objective against the returned assignment using only
+// accepted after verify.cpp::check_certificate proves it optimal using only
 // Rat arithmetic — a few dozen lines that are independent of the pivoting
-// machinery. A solver bug therefore shows up as a rejected certificate,
-// never as a silently wrong WCET bound.
+// machinery: the primal values satisfy every constraint, the dual values
+// satisfy every dual constraint, and both attain the claimed objective. A
+// solver bug therefore shows up as a rejected certificate, not as a WCET
+// bound below the LP maximum.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,6 @@ struct Problem {
   int num_vars = 0;
   std::vector<LinTerm> objective;
   std::vector<Constraint> constraints;
-  bool integer = false;  ///< require every variable integral (branch & bound)
 };
 
 enum class Status { Optimal, Infeasible, Unbounded };
@@ -62,25 +63,27 @@ struct Solution {
   Status status = Status::Infeasible;
   Rat objective;
   std::vector<Rat> values;  ///< one per variable when status == Optimal
-  std::int64_t pivots = 0;  ///< simplex pivots across all LP solves
-  std::int64_t bnb_nodes = 0;  ///< branch-and-bound nodes explored (1 = pure LP)
-  std::int64_t fast_fallbacks = 0;  ///< LP solves re-run on the rational lane
+  /// One dual multiplier per constraint when status == Optimal: >= 0 on Le
+  /// rows, <= 0 on Ge rows, free on Eq rows.
+  std::vector<Rat> duals;
+  std::int64_t pivots = 0;  ///< simplex pivots, both lanes included
+  std::int64_t fast_fallbacks = 0;  ///< solves re-run on the rational lane
 };
 
-/// Solves the LP relaxation (ignores Problem::integer).
-[[nodiscard]] Solution solve_lp(const Problem& problem,
-                                PivotKernel kernel = PivotKernel::Auto);
-
-/// Solves the problem; runs branch-and-bound when Problem::integer is set.
+/// Solves the LP.
 [[nodiscard]] Solution solve(const Problem& problem,
                              PivotKernel kernel = PivotKernel::Auto);
 
-/// Independent certificate check (verify.cpp): confirms `values` is
-/// feasible for every constraint, non-negative, integral when required, and
-/// that the objective evaluates to `objective`. Returns an empty string on
-/// success, else a description of the first violated condition.
+/// Independent certificate check (verify.cpp), by weak duality: `values`
+/// is non-negative and satisfies every constraint; `duals` has the sign
+/// each row's sense demands and A^T y >= c holds on every variable; and
+/// c.x = b.y = `objective`. Then `objective` is the LP maximum, hence an
+/// upper bound on every feasible (integral or not) solution. Returns an
+/// empty string on success, else a description of the first violated
+/// condition.
 [[nodiscard]] std::string check_certificate(const Problem& problem,
                                             const std::vector<Rat>& values,
+                                            const std::vector<Rat>& duals,
                                             const Rat& objective);
 
 }  // namespace vc::ilp

@@ -277,10 +277,16 @@ void ServiceServer::batch_loop() {
         continue;
       }
       // Tiny gather window: pipelined clients enqueue bursts; taking the
-      // burst as one batch amortizes the fleet fan-out.
-      lock.unlock();
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      lock.lock();
+      // burst as one batch amortizes the fleet fan-out. Memo hits have no
+      // fan-out to amortize, so a queue of nothing else is sent at once.
+      const bool only_memo_hits =
+          std::all_of(queue_.begin(), queue_.end(),
+                      [](const Queued& q) { return q.memo_hit; });
+      if (!only_memo_hits) {
+        lock.unlock();
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        lock.lock();
+      }
       batch.assign(std::make_move_iterator(queue_.begin()),
                    std::make_move_iterator(queue_.end()));
       queue_.clear();
@@ -317,7 +323,7 @@ void ServiceServer::process_batch(std::vector<Queued> batch) {
   }
   // Memo-resolved jobs first: the reader already attached the finished
   // record, so these are pure sends (and the latency the client sees is
-  // queue wait + one gather window, not a compile).
+  // queue wait, plus a gather window only when cold jobs share the queue).
   for (const Queued& queued : batch) {
     if (!queued.memo_hit) continue;
     reply_record(queued, queued.memo_record, "incremental");

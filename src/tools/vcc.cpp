@@ -62,7 +62,6 @@
 //
 // Batch mode exits non-zero if any file fails, and lists the failing files
 // in a per-file pass/fail summary on stderr.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -190,20 +189,18 @@ int run_connect(const std::string& socket_path, const std::string& path,
   namespace fs = std::filesystem;
   std::vector<std::string> files;
   if (batch) {
-    std::error_code ec;
-    if (!fs::is_directory(fs::status(path, ec))) {
-      std::fprintf(stderr, "vcc: not a directory: %s\n", path.c_str());
+    std::string error;
+    std::optional<std::vector<std::string>> listed =
+        tools::list_mc_files(path, &error);
+    if (!listed) {
+      std::fprintf(stderr, "vcc: %s\n", error.c_str());
       return 2;
     }
-    for (const auto& entry : fs::directory_iterator(path, ec)) {
-      if (entry.is_regular_file() && entry.path().extension() == ".mc")
-        files.push_back(entry.path().string());
-    }
-    std::sort(files.begin(), files.end());
-    if (files.empty()) {
+    if (listed->empty()) {
       std::fprintf(stderr, "vcc: no .mc files under %s\n", path.c_str());
-      return 0;
+      return 1;
     }
+    files = std::move(*listed);
   } else {
     files.push_back(path);
   }

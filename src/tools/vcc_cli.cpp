@@ -180,24 +180,38 @@ CallArgs parse_call_args(const minic::Function& fn, const std::string& spec) {
   return out;
 }
 
-BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
+std::optional<std::vector<std::string>> list_mc_files(const std::string& dir,
+                                                      std::string* error) {
   namespace fs = std::filesystem;
-  BatchResult result;
-  // Path-class problems are usage errors (exit 2), and the diagnostic names
-  // the path plus the precise reason: "exists but is a regular file" is a
-  // different operator mistake than "does not exist".
+  // The diagnostic names the path plus the precise reason: "exists but is
+  // a regular file" is a different operator mistake than "does not exist".
   std::error_code ec;
   const fs::file_status st = fs::status(dir, ec);
   if (ec || st.type() == fs::file_type::not_found) {
-    result.exit_code = 2;
-    result.summary = "not a directory: " + dir + " (" +
-                     (ec ? ec.message() : "no such file or directory") + ")";
-    return result;
+    *error = "not a directory: " + dir + " (" +
+             (ec ? ec.message() : "no such file or directory") + ")";
+    return std::nullopt;
   }
   if (st.type() != fs::file_type::directory) {
+    *error = "not a directory: " + dir + " (exists but is a " +
+             file_type_name(st.type()) + ")";
+    return std::nullopt;
+  }
+  std::vector<std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec))
+    if (entry.is_regular_file() && entry.path().extension() == ".mc")
+      files.push_back(entry.path().string());
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
+  BatchResult result;
+  // Path-class problems are usage errors (exit 2).
+  const std::optional<std::vector<std::string>> listed =
+      list_mc_files(dir, &result.summary);
+  if (!listed) {
     result.exit_code = 2;
-    result.summary = "not a directory: " + dir + " (exists but is a " +
-                     file_type_name(st.type()) + ")";
     return result;
   }
   if (options.jobs < 0) {
@@ -206,11 +220,7 @@ BatchResult run_batch(const std::string& dir, const BatchOptions& options) {
                      std::to_string(options.jobs);
     return result;
   }
-  std::vector<std::string> files;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec))
-    if (entry.is_regular_file() && entry.path().extension() == ".mc")
-      files.push_back(entry.path().string());
-  std::sort(files.begin(), files.end());
+  const std::vector<std::string>& files = *listed;
   if (files.empty()) {
     result.summary = "no .mc files under " + dir;
     return result;

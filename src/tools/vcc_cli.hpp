@@ -84,6 +84,13 @@ struct ProfilePhase {
     const std::vector<ProfilePhase>& phases,
     const pass::PipelineStats& passes);
 
+/// The sorted paths of the .mc files directly under `dir`, shared by
+/// `vcc --batch` and `vcc --connect --batch`. When `dir` is missing or not
+/// a directory, returns nullopt and sets `*error` to a "not a directory"
+/// diagnostic naming the path and the reason (a usage error: exit 2).
+std::optional<std::vector<std::string>> list_mc_files(const std::string& dir,
+                                                      std::string* error);
+
 /// Batch compilation (vcc --batch): every .mc file under a directory,
 /// compiled in parallel, with optional artifact caching. Lives here (not in
 /// the vcc binary) so the exit-code and summary policy is unit-testable:

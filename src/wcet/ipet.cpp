@@ -70,7 +70,6 @@ IpetInfo analyze_ipet(const Cfg& cfg, const ValueAnalysisResult& values,
 
   ilp::Problem problem;
   problem.num_vars = static_cast<int>(n_edges);
-  problem.integer = true;
 
   // ---- Objective: each edge pays the cost of the block it enters. --------
   // Loop-persistence charges are paid once per loop entry, so they ride on
@@ -176,27 +175,16 @@ IpetInfo analyze_ipet(const Cfg& cfg, const ValueAnalysisResult& values,
     throw WcetError("IPET objective unbounded for " + fn_name +
                     " (missing loop bound constraint)");
   const std::string err =
-      ilp::check_certificate(problem, sol.values, sol.objective);
+      ilp::check_certificate(problem, sol.values, sol.duals, sol.objective);
   if (!err.empty())
     throw WcetError("IPET certificate verification failed for " + fn_name +
                     ": " + err);
   info.certificate_verified = true;
   info.simplex_pivots = sol.pivots;
-  info.bnb_nodes = sol.bnb_nodes;
 
-  check(sol.objective.is_integer() && sol.objective >= ilp::Rat(0),
-        "ipet: optimal objective is not a non-negative integer");
+  check(sol.objective >= ilp::Rat(0), "ipet: optimal objective is negative");
   info.wcet_cycles =
-      static_cast<std::uint64_t>(sol.objective.num()) + function_ps_charge;
-
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    std::uint64_t freq = 0;
-    for (int v : in_vars[b]) {
-      const ilp::Rat& x = sol.values[static_cast<std::size_t>(v)];
-      freq += static_cast<std::uint64_t>(x.num());
-    }
-    info.block_freq.emplace_back(cfg.blocks[b].start, freq);
-  }
+      static_cast<std::uint64_t>(sol.objective.floor()) + function_ps_charge;
   return info;
 }
 

@@ -9,10 +9,13 @@
 // annotation-derived range facts become frequency caps the structural
 // engine cannot express).
 //
-// The ILP is solved by src/ilp (exact rationals, untrusted simplex +
-// branch-and-bound); the returned flow assignment is re-checked against
-// every constraint by the independent verifier before the bound is
-// believed. A failed check is a hard error naming the function.
+// The LP relaxation is solved by src/ilp (exact rationals, untrusted
+// simplex) and the returned primal flow and dual multipliers are re-checked
+// by the independent verifier, which proves the objective is the LP maximum
+// before it is believed. A failed check is a hard error naming the function.
+// The bound is the floor of that maximum: every integral flow's cost is an
+// integer no greater than it, so the bound is sound whether or not the
+// optimal flow happens to be integral.
 #pragma once
 
 #include <cstdint>
@@ -31,16 +34,16 @@ struct IpetInfo {
   int lp_vars = 0;             ///< edge-frequency variables (incl. virtual)
   int lp_constraints = 0;
   std::int64_t simplex_pivots = 0;
-  std::int64_t bnb_nodes = 0;
+  /// LP solves per function: always 1 since the certificate proves the LP
+  /// maximum directly (kept as a counter for campaign reports).
+  std::int64_t bnb_nodes = 1;
   /// Edges pinned to frequency 0 by value-analysis infeasibility (these are
   /// the constraints the structural engine cannot see).
   int capped_edges = 0;
-  /// The optimal flow passed the independent certificate check. Always true
-  /// when analyze_ipet returns (failure throws); recorded for reporting.
+  /// The optimal flow and its duals passed the independent certificate
+  /// check. Always true when analyze_ipet returns (failure throws); recorded
+  /// for reporting.
   bool certificate_verified = false;
-  /// Optimal execution count per block (by start address) — the witness
-  /// flow behind the bound.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> block_freq;
 };
 
 /// Inputs shared with the structural engine: the reconstructed CFG, the

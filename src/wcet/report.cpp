@@ -39,7 +39,6 @@ std::string format_report(const mach::Image& image, const std::string& fn_name,
            std::to_string(result.ipet->capped_edges) +
            " infeasible edge(s), " +
            std::to_string(result.ipet->simplex_pivots) + " pivot(s), " +
-           std::to_string(result.ipet->bnb_nodes) + " b&b node(s), " +
            "certificate " +
            (result.ipet->certificate_verified ? "verified" : "UNVERIFIED") +
            "\n";

@@ -1,8 +1,9 @@
-// The exact-rational LP/ILP solver that backs the IPET WCET engine, with a
+// The exact-rational LP solver that backs the IPET WCET engine, with a
 // focus on its edge lanes: infeasible systems, unbounded objectives,
-// degenerate pivoting (Bland anti-cycling), rational overflow, branch and
-// bound on known small ILPs, and the independent certificate verifier's
-// rejection of corrupted assignments.
+// degenerate pivoting (Bland anti-cycling), rational overflow, fractional
+// LP optima of known small ILPs, and the independent certificate verifier's
+// rejection of corrupted primal and dual assignments, including feasible
+// but suboptimal ones.
 #include <gtest/gtest.h>
 
 #include "ilp/rational.hpp"
@@ -42,13 +43,10 @@ TEST(RatTest, NormalizesSignAndGcd) {
   EXPECT_TRUE(Rat::fraction(8, 4).is_integer());
 }
 
-TEST(RatTest, FloorCeilOnNegatives) {
+TEST(RatTest, FloorOnNegatives) {
   EXPECT_EQ(Rat::fraction(7, 2).floor(), 3);
-  EXPECT_EQ(Rat::fraction(7, 2).ceil(), 4);
   EXPECT_EQ(Rat::fraction(-7, 2).floor(), -4);
-  EXPECT_EQ(Rat::fraction(-7, 2).ceil(), -3);
   EXPECT_EQ(Rat(5).floor(), 5);
-  EXPECT_EQ(Rat(5).ceil(), 5);
 }
 
 TEST(RatTest, ComparisonsCrossMultiply) {
@@ -87,12 +85,12 @@ TEST(SimplexTest, SolvesTextbookMaximum) {
       cons({{1, Rat(2)}}, Sense::Le, Rat(12), "y-cap"),
       cons({{0, Rat(3)}, {1, Rat(2)}}, Sense::Le, Rat(18), "mix"),
   };
-  const Solution s = solve_lp(p);
+  const Solution s = solve(p);
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_EQ(s.objective, Rat(36));
   EXPECT_EQ(s.values[0], Rat(2));
   EXPECT_EQ(s.values[1], Rat(6));
-  EXPECT_TRUE(check_certificate(p, s.values, s.objective).empty());
+  EXPECT_TRUE(check_certificate(p, s.values, s.duals, s.objective).empty());
 }
 
 TEST(SimplexTest, HandlesEqualityAndGeRows) {
@@ -106,10 +104,10 @@ TEST(SimplexTest, HandlesEqualityAndGeRows) {
       cons({{0, Rat(1)}}, Sense::Ge, Rat(3), "x-min"),
       cons({{1, Rat(1)}}, Sense::Le, Rat(4), "y-cap"),
   };
-  const Solution s = solve_lp(p);
+  const Solution s = solve(p);
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_EQ(s.objective, Rat(10));
-  EXPECT_TRUE(check_certificate(p, s.values, s.objective).empty());
+  EXPECT_TRUE(check_certificate(p, s.values, s.duals, s.objective).empty());
 }
 
 TEST(SimplexTest, NegativeRhsRowsAreNormalized) {
@@ -118,7 +116,7 @@ TEST(SimplexTest, NegativeRhsRowsAreNormalized) {
   p.num_vars = 1;
   p.objective = {{0, Rat(-1)}};  // maximize -x → minimize x
   p.constraints = {cons({{0, Rat(-1)}}, Sense::Le, Rat(-5), "neg-rhs")};
-  const Solution s = solve_lp(p);
+  const Solution s = solve(p);
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_EQ(s.values[0], Rat(5));
   EXPECT_EQ(s.objective, Rat(-5));
@@ -133,8 +131,6 @@ TEST(SimplexTest, DetectsInfeasibleSystem) {
       cons({{0, Rat(1)}}, Sense::Le, Rat(2), "cap"),
       cons({{0, Rat(1)}}, Sense::Ge, Rat(5), "floor"),
   };
-  EXPECT_EQ(solve_lp(p).status, Status::Infeasible);
-  p.integer = true;
   EXPECT_EQ(solve(p).status, Status::Infeasible);
 }
 
@@ -144,8 +140,6 @@ TEST(SimplexTest, DetectsUnboundedObjective) {
   p.num_vars = 2;
   p.objective = {{0, Rat(1)}, {1, Rat(1)}};
   p.constraints = {cons({{1, Rat(1)}}, Sense::Le, Rat(3), "y-cap")};
-  EXPECT_EQ(solve_lp(p).status, Status::Unbounded);
-  p.integer = true;
   EXPECT_EQ(solve(p).status, Status::Unbounded);
 }
 
@@ -175,53 +169,50 @@ TEST(SimplexTest, BlandRuleEscapesDegenerateCycling) {
            Sense::Le, Rat(0), "r1"),
       cons({{2, Rat(1)}}, Sense::Le, Rat(1), "r2"),
   };
-  const Solution s = solve_lp(p);
+  const Solution s = solve(p);
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_EQ(s.objective, Rat::fraction(1, 20));
   EXPECT_LT(s.pivots, 50);  // terminates promptly, no cycling
-  EXPECT_TRUE(check_certificate(p, s.values, s.objective).empty());
+  EXPECT_TRUE(check_certificate(p, s.values, s.duals, s.objective).empty());
 }
 
 TEST(SimplexTest, EmptyProblemIsTriviallyOptimal) {
   Problem p;
-  const Solution s = solve_lp(p);
+  const Solution s = solve(p);
   EXPECT_EQ(s.status, Status::Optimal);
   EXPECT_EQ(s.objective, Rat(0));
 }
 
-// ------------------------------------------------------- branch and bound
+// ---------------------------------------------------- fractional LP roots
+//
+// The IPET bound is the floor of the certified LP maximum. On these small
+// ILPs the LP optimum is fractional and its floor is the integer optimum.
 
-TEST(BranchAndBoundTest, RoundsAwayFractionalLpOptimum) {
-  // max x + y s.t. 2x + 3y <= 12, 2x + y <= 6.5. LP optimum is fractional;
-  // the best integral point is (1, 3) with objective 4.
+TEST(FractionalRootTest, BoundIsFloorOfLpOptimum) {
+  // max x + y s.t. 2x + 3y <= 12, 2x + y <= 6.5. The LP optimum is
+  // (15/8, 11/4) with objective 37/8; the best integral point is (1, 3)
+  // with objective 4.
   Problem p;
   p.num_vars = 2;
-  p.integer = true;
   p.objective = {{0, Rat(1)}, {1, Rat(1)}};
   p.constraints = {
       cons({{0, Rat(2)}, {1, Rat(3)}}, Sense::Le, Rat(12), "a"),
       cons({{0, Rat(2)}, {1, Rat(1)}}, Sense::Le, Rat::fraction(13, 2), "b"),
   };
-  const Solution relaxed = solve_lp(p);
-  ASSERT_EQ(relaxed.status, Status::Optimal);
-  EXPECT_FALSE(relaxed.values[0].is_integer() &&
-               relaxed.values[1].is_integer());
   const Solution s = solve(p);
   ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_EQ(s.objective, Rat(4));
-  EXPECT_TRUE(s.values[0].is_integer());
-  EXPECT_TRUE(s.values[1].is_integer());
-  EXPECT_GT(s.bnb_nodes, 1);
-  EXPECT_TRUE(check_certificate(p, s.values, s.objective).empty());
+  EXPECT_FALSE(s.values[0].is_integer() && s.values[1].is_integer());
+  EXPECT_EQ(s.objective, Rat::fraction(37, 8));
+  EXPECT_EQ(s.objective.floor(), 4);
+  EXPECT_TRUE(check_certificate(p, s.values, s.duals, s.objective).empty());
 }
 
-TEST(BranchAndBoundTest, KnapsackOptimum) {
-  // 0/1 knapsack: values {10, 13, 7}, weights {3, 4, 2}, capacity 6.
-  // Optimum picks items 1 and 3: value 20 (the greedy-by-density LP answer
-  // is fractional).
+TEST(FractionalRootTest, KnapsackBoundIsFloorOfLpOptimum) {
+  // 0/1 knapsack: values {10, 13, 7}, weights {3, 4, 2}, capacity 6. The
+  // integer optimum picks items 1 and 3 (value 20); the LP takes a quarter
+  // of item 2 on top (value 81/4).
   Problem p;
   p.num_vars = 3;
-  p.integer = true;
   p.objective = {{0, Rat(10)}, {1, Rat(13)}, {2, Rat(7)}};
   p.constraints = {
       cons({{0, Rat(3)}, {1, Rat(4)}, {2, Rat(2)}}, Sense::Le, Rat(6), "w"),
@@ -231,18 +222,58 @@ TEST(BranchAndBoundTest, KnapsackOptimum) {
   };
   const Solution s = solve(p);
   ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_EQ(s.objective, Rat(20));
-  EXPECT_EQ(s.values[0], Rat(0));
-  EXPECT_EQ(s.values[1], Rat(1));
-  EXPECT_EQ(s.values[2], Rat(1));
+  EXPECT_EQ(s.objective, Rat::fraction(81, 4));
+  EXPECT_EQ(s.objective.floor(), 20);
+  EXPECT_TRUE(check_certificate(p, s.values, s.duals, s.objective).empty());
 }
 
 // ------------------------------------------------------------ certificate
 
+TEST(CertificateTest, RejectsFeasibleSuboptimalFlow) {
+  // max x + y s.t. x <= 1, y <= 1. The flow x = (0, 0) is feasible and its
+  // claimed objective 0 is its own value, so only the dual side can tell
+  // it is not the maximum: y = 0 leaves A^T y < c, and the dual-feasible
+  // y = (1, 1) proves the maximum is 2, not 0.
+  Problem p;
+  p.num_vars = 2;
+  p.objective = {{0, Rat(1)}, {1, Rat(1)}};
+  p.constraints = {cons({{0, Rat(1)}}, Sense::Le, Rat(1), "x-cap"),
+                   cons({{1, Rat(1)}}, Sense::Le, Rat(1), "y-cap")};
+  const std::vector<Rat> origin = {Rat(0), Rat(0)};
+  const std::string no_duals =
+      check_certificate(p, origin, {Rat(0), Rat(0)}, Rat(0));
+  EXPECT_NE(no_duals.find("dual infeasible"), std::string::npos) << no_duals;
+  const std::string gap =
+      check_certificate(p, origin, {Rat(1), Rat(1)}, Rat(0));
+  EXPECT_NE(gap.find("duality gap"), std::string::npos) << gap;
+  EXPECT_TRUE(check_certificate(p, {Rat(1), Rat(1)}, {Rat(1), Rat(1)}, Rat(2))
+                  .empty());
+}
+
+TEST(CertificateTest, RejectsWrongSignedDualEvenWithoutGap) {
+  // max x s.t. x <= 1 (twice, once stated as -x >= -1). The duals must
+  // satisfy y0 - y1 >= 1 and reach b.y = y0 - y1 = 1, which (2, 1) does;
+  // only its sign gives it away, since y1 > 0 on a >= row.
+  Problem p;
+  p.num_vars = 1;
+  p.objective = {{0, Rat(1)}};
+  p.constraints = {cons({{0, Rat(1)}}, Sense::Le, Rat(1), "le"),
+                   cons({{0, Rat(-1)}}, Sense::Ge, Rat(-1), "ge")};
+  const Solution s = solve(p);
+  ASSERT_EQ(s.status, Status::Optimal);
+  ASSERT_TRUE(check_certificate(p, s.values, s.duals, s.objective).empty());
+  const std::string ge = check_certificate(p, s.values, {Rat(2), Rat(1)},
+                                           s.objective);
+  EXPECT_NE(ge.find("'ge' has the wrong sign"), std::string::npos) << ge;
+  // ...and a Le row with a negative dual: y0 = -1, y1 = -2.
+  const std::string le = check_certificate(p, s.values, {Rat(-1), Rat(-2)},
+                                           s.objective);
+  EXPECT_NE(le.find("'le' has the wrong sign"), std::string::npos) << le;
+}
+
 TEST(CertificateTest, AcceptsExactSolutionRejectsAnyMutation) {
   Problem p;
   p.num_vars = 3;
-  p.integer = true;
   p.objective = {{0, Rat(4)}, {1, Rat(3)}, {2, Rat(2)}};
   p.constraints = {
       cons({{0, Rat(1)}, {1, Rat(1)}}, Sense::Le, Rat(7), "ab"),
@@ -251,20 +282,47 @@ TEST(CertificateTest, AcceptsExactSolutionRejectsAnyMutation) {
   };
   const Solution s = solve(p);
   ASSERT_EQ(s.status, Status::Optimal);
-  ASSERT_TRUE(check_certificate(p, s.values, s.objective).empty());
+  ASSERT_TRUE(check_certificate(p, s.values, s.duals, s.objective).empty());
 
-  // Seeded single-variable mutations: every perturbed assignment must be
-  // rejected (each variable is pinned by at least one tight row here, and
-  // the objective recomputation catches anything the rows miss).
+  // Seeded single-component mutations, every one of which must be
+  // rejected. Primal: each variable is pinned by at least one tight row
+  // here, and the objective recomputation catches anything the rows miss.
+  // Dual: every rhs is non-zero, so moving one y_i moves b.y off the claim.
+  // Sign: the dual of the Le or the Ge row is negated or, when it is zero,
+  // set to the sign that row's sense forbids.
   Rng rng(20260807);
   for (int trial = 0; trial < 64; ++trial) {
-    std::vector<Rat> mutated = s.values;
-    const std::size_t victim = rng.next_below(mutated.size());
+    std::vector<Rat> values = s.values;
+    std::vector<Rat> duals = s.duals;
     const std::int64_t delta =
         1 + static_cast<std::int64_t>(rng.next_below(5));
-    mutated[victim] += (trial % 2 == 0) ? Rat(delta) : Rat(-delta);
-    EXPECT_FALSE(check_certificate(p, mutated, s.objective).empty())
-        << "mutation of x" << victim << " by " << delta << " was accepted";
+    const Rat step = (trial % 2 == 0) ? Rat(delta) : Rat(-delta);
+    std::size_t victim = 0;
+    const char* what = "";
+    switch (trial % 3) {
+      case 0:
+        victim = rng.next_below(values.size());
+        values[victim] += step;
+        what = "x";
+        break;
+      case 1:
+        victim = rng.next_below(duals.size());
+        duals[victim] += step;
+        what = "y";
+        break;
+      default: {
+        victim = rng.next_below(2) == 0 ? 0 : 2;  // the ab and a-min rows
+        const Sense sense = p.constraints[victim].sense;
+        duals[victim] = !duals[victim].is_zero() ? -duals[victim]
+                        : sense == Sense::Le     ? Rat(-delta)
+                                                 : Rat(delta);
+        what = "the sign of y";
+        break;
+      }
+    }
+    EXPECT_FALSE(check_certificate(p, values, duals, s.objective).empty())
+        << "mutation of " << what << victim << " (trial " << trial
+        << ") was accepted";
   }
 }
 
@@ -273,21 +331,21 @@ TEST(CertificateTest, RejectsWrongObjectiveClaim) {
   p.num_vars = 1;
   p.objective = {{0, Rat(2)}};
   p.constraints = {cons({{0, Rat(1)}}, Sense::Le, Rat(3), "cap")};
-  const Solution s = solve_lp(p);
+  const Solution s = solve(p);
   ASSERT_EQ(s.status, Status::Optimal);
-  const std::string err = check_certificate(p, s.values, s.objective + Rat(1));
+  const std::string err =
+      check_certificate(p, s.values, s.duals, s.objective + Rat(1));
   EXPECT_NE(err.find("objective mismatch"), std::string::npos) << err;
 }
 
 TEST(CertificateTest, RejectsSizeAndSignErrors) {
   Problem p;
   p.num_vars = 2;
-  p.integer = true;
-  EXPECT_FALSE(check_certificate(p, {Rat(1)}, Rat(0)).empty());
-  EXPECT_NE(check_certificate(p, {Rat(-1), Rat(0)}, Rat(0)).find("negative"),
+  EXPECT_FALSE(check_certificate(p, {Rat(1)}, {}, Rat(0)).empty());
+  EXPECT_NE(check_certificate(p, {Rat(0), Rat(0)}, {Rat(0)}, Rat(0))
+                .find("duals"),
             std::string::npos);
-  EXPECT_NE(check_certificate(p, {Rat::fraction(1, 2), Rat(0)}, Rat(0))
-                .find("fractional"),
+  EXPECT_NE(check_certificate(p, {Rat(-1), Rat(0)}, {}, Rat(0)).find("negative"),
             std::string::npos);
 }
 
@@ -295,7 +353,7 @@ TEST(CertificateTest, NamesTheViolatedConstraintTag) {
   Problem p;
   p.num_vars = 1;
   p.constraints = {cons({{0, Rat(1)}}, Sense::Le, Rat(2), "loop@0x40")};
-  const std::string err = check_certificate(p, {Rat(9)}, Rat(0));
+  const std::string err = check_certificate(p, {Rat(9)}, {Rat(0)}, Rat(0));
   EXPECT_NE(err.find("loop@0x40"), std::string::npos) << err;
 }
 
@@ -304,8 +362,8 @@ TEST(CertificateTest, NamesTheViolatedConstraintTag) {
 // The int64 fast lane and the rational lane follow the same Bland rule over
 // the same exact values, so on any problem where the fast lane fits they
 // must return bit-identical solutions — same status, same objective, same
-// assignment, same pivot/node counts. `Auto` must match both (it IS the
-// fast lane, with a transparent rational re-solve on overflow).
+// assignment, same duals, same pivot count. `Auto` must match both (it IS
+// the fast lane, with a transparent rational re-solve on overflow).
 
 /// Both forced kernels and Auto agree exactly on `p`.
 void expect_kernels_agree(const Problem& p, const char* label) {
@@ -319,22 +377,26 @@ void expect_kernels_agree(const Problem& p, const char* label) {
     ASSERT_EQ(s->values.size(), rational.values.size());
     for (std::size_t i = 0; i < rational.values.size(); ++i)
       EXPECT_EQ(s->values[i], rational.values[i]) << "x" << i;
+    ASSERT_EQ(s->duals.size(), rational.duals.size());
+    for (std::size_t i = 0; i < rational.duals.size(); ++i)
+      EXPECT_EQ(s->duals[i], rational.duals[i]) << "y" << i;
     EXPECT_EQ(s->pivots, rational.pivots);
-    EXPECT_EQ(s->bnb_nodes, rational.bnb_nodes);
   }
   EXPECT_EQ(fast.fast_fallbacks, 0);
   EXPECT_EQ(chosen.fast_fallbacks, 0);
   if (rational.status == Status::Optimal) {
-    EXPECT_TRUE(
-        check_certificate(p, rational.values, rational.objective).empty());
+    EXPECT_TRUE(check_certificate(p, rational.values, rational.duals,
+                                  rational.objective)
+                    .empty());
   }
 }
 
 TEST(KernelParityTest, AgreesOnEveryHandWrittenLane) {
   // The same problem shapes the solver lanes above exercise: textbook
   // maximum, equality/>= rows (phase-1 artificials), negative rhs
-  // normalization, infeasible, unbounded, degenerate Bland cycling, a
-  // fractional LP optimum driven through branch and bound, and a knapsack.
+  // normalization, a redundant row dropped in phase 1, infeasible,
+  // unbounded, degenerate Bland cycling, and two fractional LP optima (a
+  // small ILP and a knapsack).
   {
     Problem p;
     p.num_vars = 2;
@@ -366,6 +428,19 @@ TEST(KernelParityTest, AgreesOnEveryHandWrittenLane) {
         cons({{0, Rat(1)}, {1, Rat(1)}}, Sense::Le, Rat(10), "cap"),
     };
     expect_kernels_agree(p, "negative-rhs");
+  }
+  {
+    // The second row is twice the first: phase 1 drops it as redundant,
+    // and its dual must read 0 for the certificate to close.
+    Problem p;
+    p.num_vars = 2;
+    p.objective = {{0, Rat(1)}};
+    p.constraints = {
+        cons({{0, Rat(1)}, {1, Rat(1)}}, Sense::Eq, Rat(2), "sum"),
+        cons({{0, Rat(2)}, {1, Rat(2)}}, Sense::Eq, Rat(4), "twice-sum"),
+    };
+    expect_kernels_agree(p, "redundant-row");
+    EXPECT_EQ(solve(p).duals, (std::vector<Rat>{Rat(1), Rat(0)}));
   }
   {
     Problem p;
@@ -413,19 +488,17 @@ TEST(KernelParityTest, AgreesOnEveryHandWrittenLane) {
   {
     Problem p;
     p.num_vars = 2;
-    p.integer = true;
     p.objective = {{0, Rat(1)}, {1, Rat(1)}};
     p.constraints = {
         cons({{0, Rat(2)}, {1, Rat(3)}}, Sense::Le, Rat(12), "a"),
         cons({{0, Rat(2)}, {1, Rat(1)}}, Sense::Le, Rat::fraction(13, 2),
              "b"),
     };
-    expect_kernels_agree(p, "fractional-bnb");
+    expect_kernels_agree(p, "fractional-root");
   }
   {
     Problem p;
     p.num_vars = 3;
-    p.integer = true;
     p.objective = {{0, Rat(10)}, {1, Rat(13)}, {2, Rat(7)}};
     p.constraints = {
         cons({{0, Rat(3)}, {1, Rat(4)}, {2, Rat(2)}}, Sense::Le, Rat(6),
@@ -441,16 +514,14 @@ TEST(KernelParityTest, AgreesOnEveryHandWrittenLane) {
 TEST(KernelParityTest, AgreesOnSeededRandomProblems) {
   // 48 seeded random problems over small fractional coefficients and mixed
   // senses — enough variety to hit phase-1, degenerate, infeasible, and
-  // unbounded paths in both lanes. Integer trials are generated so x = 0 is
-  // always feasible and every variable is explicitly bounded: the solver
-  // treats "feasible relaxation but no integral point" as an internal error
-  // (IPET systems always contain one), so parity trials must stay inside
-  // that contract.
+  // unbounded paths in both lanes. Half the trials are bounded the way IPET
+  // systems are: Le rows over non-negative coefficients, x = 0 feasible, and
+  // every variable capped, so they always reach an optimum.
   Rng rng(0xF1A7C0DE);
   for (int trial = 0; trial < 48; ++trial) {
     Problem p;
     p.num_vars = static_cast<int>(2 + rng.next_below(4));
-    p.integer = rng.next_below(2) == 0;
+    const bool bounded = rng.next_below(2) == 0;
     for (int v = 0; v < p.num_vars; ++v)
       p.objective.push_back(
           {v, Rat::fraction(rng.next_range(-5, 6),
@@ -460,19 +531,18 @@ TEST(KernelParityTest, AgreesOnSeededRandomProblems) {
     for (std::size_t r = 0; r < rows; ++r) {
       Constraint c;
       for (int v = 0; v < p.num_vars; ++v) {
-        const std::int64_t num = p.integer ? rng.next_range(0, 6)
-                                           : rng.next_range(-4, 6);
+        const std::int64_t num = bounded ? rng.next_range(0, 6)
+                                         : rng.next_range(-4, 6);
         if (num != 0) c.terms.push_back({v, Rat(num)});
       }
       if (c.terms.empty()) c.terms.push_back({0, Rat(1)});
-      const std::uint64_t pick = p.integer ? 3 : rng.next_below(4);
+      const std::uint64_t pick = bounded ? 3 : rng.next_below(4);
       c.sense = pick == 0 ? Sense::Ge : pick == 1 ? Sense::Eq : Sense::Le;
-      c.rhs = Rat(p.integer ? rng.next_range(0, 20)
-                            : rng.next_range(-8, 20));
+      c.rhs = Rat(bounded ? rng.next_range(0, 20) : rng.next_range(-8, 20));
       c.tag = "r" + std::to_string(r);
       p.constraints.push_back(std::move(c));
     }
-    if (p.integer)
+    if (bounded)
       for (int v = 0; v < p.num_vars; ++v)
         p.constraints.push_back(cons({{v, Rat(1)}}, Sense::Le,
                                      Rat(rng.next_range(0, 8)),
@@ -506,8 +576,8 @@ TEST(KernelParityTest, OverflowFallsBackTransparently) {
   p.constraints.push_back(std::move(mixed));
   p.constraints.push_back(cons({{8, Rat(1)}}, Sense::Le, Rat(2), "cap-x8"));
 
-  const Solution rational = solve_lp(p, PivotKernel::Rational);
-  const Solution chosen = solve_lp(p);  // Auto
+  const Solution rational = solve(p, PivotKernel::Rational);
+  const Solution chosen = solve(p);  // Auto
   ASSERT_EQ(rational.status, Status::Optimal);
   EXPECT_EQ(rational.objective, Rat(2));  // cap-x8 binds; prime row slack
   EXPECT_EQ(chosen.status, rational.status);
@@ -515,8 +585,9 @@ TEST(KernelParityTest, OverflowFallsBackTransparently) {
   ASSERT_EQ(chosen.values.size(), rational.values.size());
   for (std::size_t i = 0; i < rational.values.size(); ++i)
     EXPECT_EQ(chosen.values[i], rational.values[i]) << "x" << i;
+  EXPECT_EQ(chosen.duals, rational.duals);
   EXPECT_GT(chosen.fast_fallbacks, 0);
-  EXPECT_THROW((void)solve_lp(p, PivotKernel::Int64), InternalError);
+  EXPECT_THROW((void)solve(p, PivotKernel::Int64), InternalError);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <map>
@@ -392,6 +393,37 @@ TEST(ServiceIncrementalTest, ResubmissionIsAnsweredFromTheMemo) {
   ASSERT_TRUE(third.has_value());
   ASSERT_TRUE(third->at("ok").as_bool(false));
   EXPECT_NE(third->at("cache").as_string(), "incremental");
+}
+
+// A queue holding only memo hits skips the 5 ms gather window: there is no
+// fleet fan-out to amortize, so the daemon-side latency of a warm
+// resubmission is a send, not a window.
+TEST(ServiceIncrementalTest, MemoHitsSkipTheGatherWindow) {
+  InProcessServer server("memofast");
+  service::ServiceClient client;
+  ASSERT_TRUE(client.connect(server.socket()));
+
+  service::JobRequest request;
+  request.name = "lowpass";
+  request.source = "func f64 lowpass(f64 x) { return 0.2 * x; }\n";
+  request.entry = "lowpass";
+  request.exec_cycles = 10;
+  request.id = 0;
+  const auto first = client.call(service::job_to_json(request));
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(first->at("ok").as_bool(false));
+
+  std::vector<double> seconds;
+  for (int i = 1; i <= 20; ++i) {
+    request.id = i;
+    const auto reply = client.call(service::job_to_json(request));
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->at("cache").as_string(), "incremental");
+    seconds.push_back(reply->at("seconds").as_double());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  EXPECT_LT(seconds[seconds.size() / 2], 0.005)
+      << "median memo-hit latency still pays the gather window";
 }
 
 // Regression: the warm-campaign pipelining deadlock. Memo-hit replies used

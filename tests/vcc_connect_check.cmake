@@ -7,7 +7,9 @@
 #    "vcc: FAILED: <file> (<error>)" line naming the file and the error;
 # 2. a valid program with --wcet=nosuch: exit 1, naming the file and the
 #    missing function;
-# 3. the same program with a real --wcet function: exit 0, "<file>: ok"
+# 3. `--batch` on a directory with no .mc files: exit 1 and a "no .mc
+#    files under <dir>" line, as plain `vcc --batch` does;
+# 4. the same program with a real --wcet function: exit 0, "<file>: ok"
 #    (the daemon is healthy and the checks above are not vacuous).
 # The daemon is stopped on every path.
 
@@ -73,6 +75,15 @@ endif()
 
 expect_connect("unknown --wcet function" 1 "--wcet=nosuch;${SRC}"
                "vcc: FAILED: ${SRC} (" "nosuch")
+if(failure)
+  fail("${failure}")
+endif()
+
+set(EMPTY "${WORK}/empty")
+file(REMOVE_RECURSE "${EMPTY}")
+file(MAKE_DIRECTORY "${EMPTY}")
+expect_connect("empty --batch directory" 1 "--batch;${EMPTY}"
+               "vcc: no .mc files under ${EMPTY}")
 if(failure)
   fail("${failure}")
 endif()
