@@ -64,6 +64,10 @@ def check_monitor(args):
     bad = [r["name"] for r in doc["records"]
            if r["monitor_violations"] or not r["ok"]]
     assert not bad, bad
+    # No step escapes the oracle: every executed instruction was checked.
+    unchecked = [r["name"] for r in doc["records"] if r["ok"]
+                 and r["monitored_steps"] != r["exec"]["instructions"]]
+    assert not unchecked, unchecked
     print(json.dumps(mon, indent=2))
 
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "artifact/image_io.hpp"
@@ -129,28 +130,62 @@ void record_from_stanza(const json::Value& doc, const json::Value& stanza,
   record->monitored_steps = stanza.at("monitored_steps").as_u64(0);
 }
 
+/// The job's one shared analysis (CFG, values, caches, loop bounds, block
+/// costs) and the structural bound over it. Filled at most once per job:
+/// before execution when a Full monitor needs the loop rows, else by the
+/// WCET phase.
+struct JobAnalysis {
+  std::optional<wcet::FunctionAnalysis> function;
+  std::optional<std::uint64_t> structural_cycles;
+};
+
+wcet::WcetOptions wcet_options(const FleetOptions& options) {
+  wcet::WcetOptions wopts;
+  wopts.use_annotations = options.use_annotations;
+  return wopts;
+}
+
+/// Builds the monitor's fact base. A Full spec holds the loop rows, so the
+/// job's shared analysis and structural path run here, before execution —
+/// where a failure of either has always stopped the job — and the WCET phase
+/// reuses them. The time counts as WCET time.
+machine::MonitorSpec job_monitor_spec(const FleetUnit& unit,
+                                      const mach::Image& image,
+                                      const FleetOptions& options,
+                                      JobAnalysis* job, FleetRecord* record) {
+  const auto t_spec = Clock::now();
+  machine::MonitorSpec spec;
+  if (options.monitor == machine::MonitorMode::Full) {
+    const wcet::FunctionAnalysis& analysis = job->function.emplace(
+        wcet::analyze_function(image, unit.entry, wcet_options(options)));
+    job->structural_cycles = wcet::structural_wcet(analysis, analysis.costs);
+    spec = wcet::build_monitor_spec(image, analysis, options.monitor);
+  } else {
+    spec = wcet::build_monitor_spec(image, unit.entry, options.monitor);
+  }
+  record->wcet_seconds += seconds_since(t_spec);
+  return spec;
+}
+
 /// Runs the execution phase against `image`, accumulating into `record`.
 void run_exec_phase(const FleetUnit& unit, const mach::Image& image,
                     std::uint64_t input_seed, const FleetOptions& options,
-                    FleetRecord* record) {
-  const auto t_exec = Clock::now();
+                    JobAnalysis* job, FleetRecord* record) {
   const minic::Function* fn = unit.program->find_function(unit.entry);
   if (fn == nullptr)
     throw std::runtime_error("no function '" + unit.entry + "'");
+  // The monitored fact base (CFG edges, annotation claims, loop-bound rows)
+  // is per image+function; the armed monitor checks every step below.
+  machine::MonitorSpec monitor_spec;
+  if (options.monitor != machine::MonitorMode::Off)
+    monitor_spec = job_monitor_spec(unit, image, options, job, record);
+  const auto t_exec = Clock::now();
   const bool has_io =
       unit.program->find_global(dataflow::kIoBusGlobal) != nullptr;
   Rng rng(input_seed);
   machine::Machine m(image);
-  // The monitored fact base (CFG edges, annotation claims, loop-bound rows)
-  // is per image+function; the armed monitor checks every step below.
-  machine::MonitorSpec monitor_spec;
-  if (options.monitor != machine::MonitorMode::Off) {
-    wcet::WcetOptions wopts;
-    wopts.use_annotations = options.use_annotations;
-    monitor_spec = wcet::build_monitor_spec(image, unit.entry, options.monitor,
-                                            wopts);
+  if (options.monitor != machine::MonitorMode::Off)
     m.arm_monitor(monitor_spec, options.monitor);
-  }
   try {
     std::vector<minic::Value> args;  // hoisted: one buffer for every cycle
     args.reserve(fn->params.size());
@@ -193,31 +228,47 @@ void run_exec_phase(const FleetUnit& unit, const mach::Image& image,
 }
 
 /// Runs the WCET phase against `image`, filling `record`'s bound fields.
+/// Reuses whatever of the job's analysis the monitor already ran.
 void run_wcet_phase(const FleetUnit& unit, const mach::Image& image,
-                    const FleetOptions& options, FleetRecord* record) {
+                    const FleetOptions& options, JobAnalysis* job,
+                    FleetRecord* record) {
   const auto t_wcet = Clock::now();
-  wcet::WcetOptions wopts;
-  wopts.use_annotations = options.use_annotations;
+  if (!job->function) {
+    // Without the bound only the all-miss ablation reads the costs, so the
+    // cache analysis runs only for the bound.
+    wcet::WcetOptions wopts = wcet_options(options);
+    wopts.cache_analysis = options.wcet;
+    job->function = wcet::analyze_function(image, unit.entry, wopts);
+  }
+  const wcet::FunctionAnalysis& analysis = *job->function;
   if (options.wcet) {
-    wopts.engine = options.wcet_engine;
-    const wcet::WcetResult r = wcet::analyze_wcet(image, unit.entry, wopts);
+    // Engine order as in analyze_wcet: structural, then IPET.
+    const bool structural = options.wcet_engine != wcet::WcetEngine::Ipet;
+    if (structural && !job->structural_cycles)
+      job->structural_cycles =
+          wcet::structural_wcet(analysis, analysis.costs);
+    if (options.wcet_engine != wcet::WcetEngine::Structural) {
+      const wcet::IpetInfo ipet = wcet::ipet_wcet(analysis);
+      record->wcet_ipet_cycles = ipet.wcet_cycles;
+      record->wcet_ipet_capped_edges = ipet.capped_edges;
+      record->wcet_ipet_certified = ipet.certificate_verified;
+    }
     // wcet_cycles carries the engine the caller selected: structural when
     // it ran (back-compatible with every existing consumer), else IPET.
     record->wcet_cycles =
-        r.structural_cycles ? *r.structural_cycles : r.wcet_cycles;
-    if (r.ipet) {
-      record->wcet_ipet_cycles = r.ipet->wcet_cycles;
-      record->wcet_ipet_capped_edges = r.ipet->capped_edges;
-      record->wcet_ipet_certified = r.ipet->certificate_verified;
-    }
+        structural ? *job->structural_cycles : record->wcet_ipet_cycles;
   }
   if (options.wcet_nocache) {
-    wopts.cache_analysis = false;
-    wopts.engine = wcet::WcetEngine::Structural;  // cache ablation only
+    // The cache ablation reuses the CFG, the value analysis and the loop
+    // bounds: only the all-miss classification, the block costs and the
+    // structural path are recomputed.
+    std::optional<wcet::BlockCosts> all_miss;
+    if (analysis.costs.cache_analysis)
+      all_miss = wcet::cost_blocks(analysis, /*cache_analysis=*/false);
     record->wcet_nocache_cycles =
-        wcet::analyze_wcet(image, unit.entry, wopts).wcet_cycles;
+        wcet::structural_wcet(analysis, all_miss ? *all_miss : analysis.costs);
   }
-  record->wcet_seconds = seconds_since(t_wcet);
+  record->wcet_seconds += seconds_since(t_wcet);
 }
 
 /// Executes one (unit, config) job into `record`. Never throws. `source` is
@@ -296,10 +347,11 @@ void run_job(const FleetUnit& unit, Config config, std::uint64_t input_seed,
         unit.entry.empty() ? image.code_size_bytes()
                            : image.code_size_of(unit.entry);
 
+    JobAnalysis analysis;
     if (options.exec_cycles > 0)
-      run_exec_phase(unit, image, input_seed, options, record);
+      run_exec_phase(unit, image, input_seed, options, &analysis, record);
     if (options.wcet || options.wcet_nocache)
-      run_wcet_phase(unit, image, options, record);
+      run_wcet_phase(unit, image, options, &analysis, record);
     record->ok = true;
 
     if (store != nullptr) {

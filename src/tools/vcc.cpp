@@ -67,6 +67,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -370,13 +371,17 @@ int main(int argc, char** argv) {
 
     if (opts.emit_asm) std::fputs(compiled.image.disassemble().c_str(), stdout);
 
+    // The --wcet analysis, kept for a monitor on the same function: its
+    // spec then checks the CFG and loop rows the printed bound consumed.
+    wcet::WcetOptions wcet_options;
+    wcet_options.use_annotations = !opts.no_annotations;
+    std::optional<wcet::FunctionAnalysis> analysis;
     if (!opts.wcet.empty()) {
-      wcet::WcetOptions options;
-      options.use_annotations = !opts.no_annotations;
-      options.engine = opts.wcet_engine;
       wcet::WcetResult r;
       measure("wcet", [&] {
-        r = wcet::analyze_wcet(compiled.image, opts.wcet, options);
+        analysis = wcet::analyze_function(compiled.image, opts.wcet,
+                                          wcet_options);
+        r = wcet::analyze_wcet(*analysis, opts.wcet_engine);
       });
       std::fputs(wcet::format_report(compiled.image, opts.wcet, r).c_str(),
                  stdout);
@@ -400,11 +405,12 @@ int main(int argc, char** argv) {
       machine::MonitorSpec monitor_spec;  // outlives the machine's monitor
       machine::Machine m(compiled.image);
       if (opts.monitor != machine::MonitorMode::Off) {
-        wcet::WcetOptions wopts;
-        wopts.use_annotations = !opts.no_annotations;
         monitor_spec =
-            wcet::build_monitor_spec(compiled.image, fn_name, opts.monitor,
-                                     wopts);
+            analysis && fn_name == opts.wcet
+                ? wcet::build_monitor_spec(compiled.image, *analysis,
+                                           opts.monitor)
+                : wcet::build_monitor_spec(compiled.image, fn_name,
+                                           opts.monitor, wcet_options);
         m.arm_monitor(monitor_spec, opts.monitor);
       }
       minic::Value result;

@@ -7,16 +7,14 @@
 
 namespace vc::wcet {
 
-machine::MonitorSpec build_monitor_spec(const mach::Image& image,
-                                        const std::string& fn_name,
-                                        machine::MonitorMode mode,
-                                        const WcetOptions& options) {
+namespace {
+
+/// The control facts: one legal-target set per branch instruction of `cfg`.
+machine::MonitorSpec control_spec(const mach::Image& image,
+                                  const std::string& fn_name, const Cfg& cfg) {
   machine::MonitorSpec spec;
   spec.function = fn_name;
-  if (mode == machine::MonitorMode::Off) return spec;
   std::tie(spec.lo, spec.hi) = image.fn_range(fn_name);
-
-  const Cfg cfg = build_cfg(image, fn_name);
 
   // Legal transfers per branch instruction. A blr leaves the harness frame
   // (the simulator jumps to the stop address); every other branch must land
@@ -34,7 +32,18 @@ machine::MonitorSpec build_monitor_spec(const mach::Image& image,
         spec.branch_targets[pc] = block.succ_addrs;
     }
   }
+  return spec;
+}
 
+}  // namespace
+
+machine::MonitorSpec build_monitor_spec(const mach::Image& image,
+                                        const FunctionAnalysis& analysis,
+                                        machine::MonitorMode mode) {
+  if (mode == machine::MonitorMode::Off)
+    return build_monitor_spec(image, analysis.fn_name, mode);
+  const Cfg& cfg = analysis.cfg;
+  machine::MonitorSpec spec = control_spec(image, analysis.fn_name, cfg);
   if (mode != machine::MonitorMode::Full) return spec;
 
   // Value claims: the raw annotation table, independently re-parsed by the
@@ -47,13 +56,10 @@ machine::MonitorSpec build_monitor_spec(const mach::Image& image,
   // Loop-bound rows: what the path analyses consume (annotation bounds
   // refined by automatic derivation), one row per natural loop, with the
   // loop body as address ranges so the monitor can classify back edges.
-  WcetOptions wopts = options;
-  wopts.engine = WcetEngine::Structural;
-  const WcetResult result = analyze_wcet(image, fn_name, wopts);
-  for (std::size_t l = 0; l < result.loops.size(); ++l) {
+  for (std::size_t l = 0; l < analysis.loops.size(); ++l) {
     machine::MonitorLoopRow row;
-    row.header_pc = result.loops[l].header_addr;
-    row.bound = result.loops[l].bound;
+    row.header_pc = analysis.loops[l].header_addr;
+    row.bound = analysis.loops[l].bound;
     for (const int b : cfg.loops[l].blocks) {
       const MachineBlock& block = cfg.blocks[static_cast<std::size_t>(b)];
       row.body.emplace_back(block.start, block.end());
@@ -61,6 +67,22 @@ machine::MonitorSpec build_monitor_spec(const mach::Image& image,
     spec.loops.push_back(std::move(row));
   }
   return spec;
+}
+
+machine::MonitorSpec build_monitor_spec(const mach::Image& image,
+                                        const std::string& fn_name,
+                                        machine::MonitorMode mode,
+                                        const WcetOptions& options) {
+  if (mode == machine::MonitorMode::Cfg)
+    return control_spec(image, fn_name, build_cfg(image, fn_name));
+  if (mode == machine::MonitorMode::Off) {
+    machine::MonitorSpec spec;
+    spec.function = fn_name;
+    return spec;
+  }
+  const FunctionAnalysis analysis = analyze_function(image, fn_name, options);
+  (void)structural_wcet(analysis, analysis.costs);
+  return build_monitor_spec(image, analysis, mode);
 }
 
 }  // namespace vc::wcet

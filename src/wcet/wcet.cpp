@@ -361,29 +361,24 @@ std::uint64_t loop_wcet(const PathContext& ctx, int loop_index) {
          ctx.loop_ps_charge[static_cast<std::size_t>(loop_index)];
 }
 
+/// The loop bounds as the engines index them (by cfg.loops position).
+std::vector<std::int64_t> loop_bounds(const FunctionAnalysis& analysis) {
+  std::vector<std::int64_t> bounds;
+  bounds.reserve(analysis.loops.size());
+  for (const LoopBoundInfo& info : analysis.loops) bounds.push_back(info.bound);
+  return bounds;
+}
+
 }  // namespace
 
-WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
-                        const WcetOptions& options) {
-  WcetResult result;
-
-  const mach::TargetDesc& desc = mach::target_by_name(
-      image.target.empty() ? mach::default_target_name() : image.target);
-  const mach::MachineConfig machine =
-      options.machine ? *options.machine : desc.machine;
-
-  const Cfg cfg = build_cfg(image, fn_name);
-  AnnotIndex annots;
-  if (options.use_annotations) {
-    const auto [lo, hi] = image.fn_range(fn_name);
-    annots = index_annotations(image, lo, hi);
-  }
-  result.warnings = annots.warnings;
-
-  const ValueAnalysisResult values = analyze_values(cfg, annots, desc);
-
-  CacheAnalysisResult caches;
-  if (options.cache_analysis) {
+BlockCosts cost_blocks(const FunctionAnalysis& analysis, bool cache_analysis) {
+  const Cfg& cfg = analysis.cfg;
+  const ValueAnalysisResult& values = analysis.values;
+  const mach::MachineConfig& machine = analysis.machine;
+  BlockCosts costs;
+  costs.cache_analysis = cache_analysis;
+  CacheAnalysisResult& caches = costs.caches;
+  if (cache_analysis) {
     caches = analyze_caches(cfg, values, machine);
   } else {
     // Everything is a miss.
@@ -409,6 +404,58 @@ WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
                           AccessClass{CacheClass::Miss, -1});
   }
 
+  // Per-block base costs plus per-execution (Miss) cache charges; collect
+  // persistence charges per scope.
+  costs.block_cost.assign(cfg.blocks.size(), 0);
+  costs.loop_ps_charge.assign(cfg.loops.size(), 0);
+
+  // Group data-access classes per block in instruction order.
+  std::vector<std::vector<const AccessClass*>> dacc_by_block(cfg.blocks.size());
+  for (std::size_t i = 0; i < values.accesses.size(); ++i)
+    dacc_by_block[static_cast<std::size_t>(values.accesses[i].block)]
+        .push_back(&caches.daccess[i]);
+
+  auto charge_persistent = [&](const AccessClass& cls) {
+    if (cls.cls != CacheClass::Persistent) return;
+    if (cls.scope == -1)
+      costs.function_ps_charge += machine.miss_penalty;
+    else
+      costs.loop_ps_charge[static_cast<std::size_t>(cls.scope)] +=
+          machine.miss_penalty;
+  };
+
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    costs.block_cost[b] =
+        block_base_cost(cfg.blocks[b], caches.ilines[b], dacc_by_block[b],
+                        *analysis.desc, machine, values.block_in[b].reachable);
+    for (const ILineEvent& ev : caches.ilines[b]) charge_persistent(ev.cls);
+  }
+  for (const AccessClass& cls : caches.daccess) charge_persistent(cls);
+  return costs;
+}
+
+FunctionAnalysis analyze_function(const mach::Image& image,
+                                  const std::string& fn_name,
+                                  const WcetOptions& options) {
+  FunctionAnalysis analysis;
+  analysis.fn_name = fn_name;
+  analysis.desc = &mach::target_by_name(
+      image.target.empty() ? mach::default_target_name() : image.target);
+  analysis.machine =
+      options.machine ? *options.machine : analysis.desc->machine;
+
+  analysis.cfg = build_cfg(image, fn_name);
+  const Cfg& cfg = analysis.cfg;
+  AnnotIndex annots;
+  if (options.use_annotations) {
+    const auto [lo, hi] = image.fn_range(fn_name);
+    annots = index_annotations(image, lo, hi);
+  }
+  analysis.warnings = annots.warnings;
+
+  analysis.values = analyze_values(cfg, annots, *analysis.desc);
+  analysis.costs = cost_blocks(analysis, options.cache_analysis);
+
   // Loop bounds: annotations take effect on the innermost loop containing
   // the annotation point; automatic derivation refines them.
   std::vector<std::int64_t> loop_bound(cfg.loops.size(), -1);
@@ -419,8 +466,8 @@ WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
     if (b < 0) continue;
     const int l = cfg.loop_of[static_cast<std::size_t>(b)];
     if (l < 0) {
-      result.warnings.push_back("loop annotation at " + hex32(addr) +
-                                " is outside any loop");
+      analysis.warnings.push_back("loop annotation at " + hex32(addr) +
+                                  " is outside any loop");
       continue;
     }
     auto& bound = loop_bound[static_cast<std::size_t>(l)];
@@ -430,7 +477,7 @@ WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
     }
   }
   for (std::size_t l = 0; l < cfg.loops.size(); ++l) {
-    const auto derived = derive_bound(cfg, values, cfg.loops[l]);
+    const auto derived = derive_bound(cfg, analysis.values, cfg.loops[l]);
     if (derived) {
       bound_derived[l] = true;
       if (loop_bound[l] < 0 || *derived < loop_bound[l]) {
@@ -452,58 +499,57 @@ WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
     info.bound = loop_bound[l];
     info.from_annotation = bound_from_annot[l];
     info.derived = bound_derived[l];
-    result.loops.push_back(info);
+    analysis.loops.push_back(info);
   }
+  return analysis;
+}
 
-  // Per-block base costs plus per-execution (Miss) cache charges; collect
-  // persistence charges per scope.
-  std::vector<std::uint64_t> block_cost(cfg.blocks.size(), 0);
-  std::vector<std::uint64_t> loop_ps_charge(cfg.loops.size(), 0);
-  std::uint64_t function_ps_charge = 0;
+// Path analysis: both engines consume the same CFG, bounds, costs, and
+// persistence charges — they differ only in how they maximize over paths.
 
-  // Group data-access classes per block in instruction order.
-  std::vector<std::vector<const AccessClass*>> dacc_by_block(cfg.blocks.size());
-  for (std::size_t i = 0; i < values.accesses.size(); ++i)
-    dacc_by_block[static_cast<std::size_t>(values.accesses[i].block)]
-        .push_back(&caches.daccess[i]);
+std::uint64_t structural_wcet(const FunctionAnalysis& analysis,
+                              const BlockCosts& costs) {
+  const std::vector<std::int64_t> bounds = loop_bounds(analysis);
+  const PathContext ctx{analysis.cfg, costs.block_cost, bounds,
+                        costs.loop_ps_charge};
+  const std::map<int, std::uint64_t> dist = longest_paths(ctx, -1, 0);
+  std::uint64_t best = 0;
+  for (const auto& [node, d] : dist) best = std::max(best, d);
+  return best + costs.function_ps_charge;
+}
 
-  auto charge_persistent = [&](const AccessClass& cls) {
-    if (cls.cls != CacheClass::Persistent) return;
-    if (cls.scope == -1)
-      function_ps_charge += machine.miss_penalty;
-    else
-      loop_ps_charge[static_cast<std::size_t>(cls.scope)] +=
-          machine.miss_penalty;
-  };
+IpetInfo ipet_wcet(const FunctionAnalysis& analysis) {
+  const BlockCosts& costs = analysis.costs;
+  return analyze_ipet(analysis.cfg, analysis.values, loop_bounds(analysis),
+                      costs.block_cost, costs.loop_ps_charge,
+                      costs.function_ps_charge, analysis.fn_name);
+}
 
-  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    block_cost[b] = block_base_cost(cfg.blocks[b], caches.ilines[b],
-                                    dacc_by_block[b], desc, machine,
-                                    values.block_in[b].reachable);
-    for (const ILineEvent& ev : caches.ilines[b]) charge_persistent(ev.cls);
-    result.block_costs.emplace_back(cfg.blocks[b].start, block_cost[b]);
-  }
-  for (const AccessClass& cls : caches.daccess) charge_persistent(cls);
-
-  // Path analysis: both engines consume the same CFG, bounds, costs, and
-  // persistence charges — they differ only in how they maximize over paths.
-  if (options.engine != WcetEngine::Ipet) {
-    PathContext ctx{cfg, block_cost, loop_bound, loop_ps_charge};
-    const std::map<int, std::uint64_t> dist = longest_paths(ctx, -1, 0);
-    std::uint64_t best = 0;
-    for (const auto& [node, d] : dist) best = std::max(best, d);
-    result.structural_cycles = best + function_ps_charge;
+WcetResult analyze_wcet(const FunctionAnalysis& analysis, WcetEngine engine) {
+  WcetResult result;
+  result.loops = analysis.loops;
+  result.warnings = analysis.warnings;
+  for (std::size_t b = 0; b < analysis.cfg.blocks.size(); ++b)
+    result.block_costs.emplace_back(analysis.cfg.blocks[b].start,
+                                    analysis.costs.block_cost[b]);
+  if (engine != WcetEngine::Ipet) {
+    result.structural_cycles = structural_wcet(analysis, analysis.costs);
     result.wcet_cycles = *result.structural_cycles;
   }
-  if (options.engine != WcetEngine::Structural) {
-    result.ipet = analyze_ipet(cfg, values, loop_bound, block_cost,
-                               loop_ps_charge, function_ps_charge, fn_name);
+  if (engine != WcetEngine::Structural) {
+    result.ipet = ipet_wcet(analysis);
     // The IPET bound is the selected bound whenever it ran: it is exact for
     // the constraint system, so it is never looser than the structural
     // over-approximation of the same system.
     result.wcet_cycles = result.ipet->wcet_cycles;
   }
   return result;
+}
+
+WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
+                        const WcetOptions& options) {
+  return analyze_wcet(analyze_function(image, fn_name, options),
+                      options.engine);
 }
 
 }  // namespace vc::wcet

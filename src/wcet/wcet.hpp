@@ -7,6 +7,12 @@
 // per-block pipeline timing via the shared IssueModel, and a structural
 // IPET-style longest-path computation over the loop nest.
 //
+// The phases run in two steps. analyze_function runs every stage up to the
+// block costs once and keeps the result (FunctionAnalysis); the path engines
+// then read that value. A caller that needs both the monitor spec and the
+// bound (the fleet, vcc) analyzes once and hands the same value to both, so
+// the spec's loop rows are the rows the reported bound consumed.
+//
 // Soundness contract (enforced by property tests against the simulator):
 // for every input, analyze_wcet(...).wcet_cycles >= observed cycles.
 #pragma once
@@ -17,8 +23,12 @@
 #include <vector>
 
 #include "mach/program.hpp"
+#include "mach/target.hpp"
 #include "mach/timing.hpp"
+#include "wcet/cache.hpp"
+#include "wcet/cfg.hpp"
 #include "wcet/ipet.hpp"
+#include "wcet/value_analysis.hpp"
 
 namespace vc::wcet {
 
@@ -85,6 +95,53 @@ class WcetError : public std::runtime_error {
       : std::runtime_error(message) {}
 };
 
+/// Cache classification and the per-block cycle costs derived from it.
+struct BlockCosts {
+  /// False when every access is charged as a miss (the ablation).
+  bool cache_analysis = true;
+  CacheAnalysisResult caches;
+  std::vector<std::uint64_t> block_cost;      // per block
+  std::vector<std::uint64_t> loop_ps_charge;  // persistence charge per loop
+  std::uint64_t function_ps_charge = 0;
+};
+
+/// The shared stages of one function's analysis: everything the path
+/// engines and the monitor spec read. Built once by analyze_function.
+struct FunctionAnalysis {
+  std::string fn_name;
+  const mach::TargetDesc* desc = nullptr;
+  mach::MachineConfig machine;
+  Cfg cfg;
+  ValueAnalysisResult values;
+  /// One row per natural loop, index-aligned with cfg.loops.
+  std::vector<LoopBoundInfo> loops;
+  std::vector<std::string> warnings;
+  BlockCosts costs;  // per WcetOptions::cache_analysis
+};
+
+/// Runs the shared stages: CFG reconstruction, annotation indexing, value
+/// analysis, cache analysis and block costs, loop bounds. The engine field
+/// of `options` is ignored. Throws WcetError for a loop without a bound.
+FunctionAnalysis analyze_function(const mach::Image& image,
+                                  const std::string& fn_name,
+                                  const WcetOptions& options = {});
+
+/// Classifies the analyzed function's accesses (or, with `cache_analysis`
+/// off, charges every one as a miss) and costs its blocks. Reuses the CFG
+/// and value analysis, which do not depend on the cache.
+BlockCosts cost_blocks(const FunctionAnalysis& analysis, bool cache_analysis);
+
+/// The structural engine's bound over `costs`.
+std::uint64_t structural_wcet(const FunctionAnalysis& analysis,
+                              const BlockCosts& costs);
+
+/// The IPET engine's bound over the analysis' own costs.
+IpetInfo ipet_wcet(const FunctionAnalysis& analysis);
+
+/// Runs the selected engine(s) over an analysis already built.
+WcetResult analyze_wcet(const FunctionAnalysis& analysis, WcetEngine engine);
+
+/// analyze_function followed by the engines of options.engine.
 WcetResult analyze_wcet(const mach::Image& image, const std::string& fn_name,
                         const WcetOptions& options = {});
 

@@ -9,7 +9,9 @@
 //     sequential one (jobs=1): worker scheduling may not leak into records;
 //   * the two targets genuinely differ (the rv32 campaign is NOT the ppc
 //     one re-labeled), while every record of both stays fully validated,
-//     monitored and certified.
+//     monitored and certified;
+//   * on both targets, the Full monitor spec's loop rows are the rows of the
+//     bound the job reports (header and bound), over the 40-node suite.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -17,6 +19,7 @@
 #include <string>
 
 #include "reference_campaign.hpp"
+#include "wcet/monitor_spec.hpp"
 
 namespace vc::bench {
 namespace {
@@ -110,6 +113,47 @@ TEST_P(CrossTargetDeterminism, ParallelCampaignMatchesSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Targets, CrossTargetDeterminism,
+                         ::testing::Values("ppc", "rv32"));
+
+class MonitorLoopRows : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(MonitorLoopRows, EqualTheReportedBoundsLoops) {
+  // The monitor checks the loop-bound rows the reported bound consumed. The
+  // spec built from the job's analysis (the fleet and `vcc --wcet --run`)
+  // and the standalone spec (`vcc --run` alone) must both carry exactly
+  // the loops of the reported WcetResult, row for row.
+  const std::vector<NodeBundle> suite = make_suite(40);
+  driver::CompileOptions copts;
+  copts.target = GetParam();
+  std::size_t rows = 0;
+  for (const NodeBundle& b : suite) {
+    for (const driver::Config config : driver::kAllConfigs) {
+      SCOPED_TRACE(b.node.name() + "/" + driver::to_string(config));
+      const driver::Compiled compiled =
+          driver::compile_program(b.program, config, copts);
+      const wcet::FunctionAnalysis analysis =
+          wcet::analyze_function(compiled.image, b.step_fn);
+      const wcet::WcetResult reported =
+          wcet::analyze_wcet(analysis, wcet::WcetEngine::Both);
+      const machine::MonitorSpec shared = wcet::build_monitor_spec(
+          compiled.image, analysis, machine::MonitorMode::Full);
+      const machine::MonitorSpec standalone = wcet::build_monitor_spec(
+          compiled.image, b.step_fn, machine::MonitorMode::Full);
+      for (const machine::MonitorSpec* spec : {&shared, &standalone}) {
+        ASSERT_EQ(spec->loops.size(), reported.loops.size());
+        for (std::size_t l = 0; l < spec->loops.size(); ++l) {
+          EXPECT_EQ(spec->loops[l].header_pc, reported.loops[l].header_addr);
+          EXPECT_EQ(spec->loops[l].bound, reported.loops[l].bound);
+        }
+      }
+      rows += reported.loops.size();
+    }
+  }
+  // The suite really exercises loop rows on this target.
+  EXPECT_GT(rows, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Targets, MonitorLoopRows,
                          ::testing::Values("ppc", "rv32"));
 
 TEST(CrossTarget, TargetsProduceDistinctCode) {

@@ -254,6 +254,60 @@ TEST(Monitor, FleetNeverRecordsStatsFromFailedExecution) {
   EXPECT_EQ(r.observed_max_cycles, 0u);
 }
 
+TEST(Monitor, UnboundedLoopFailsInTheSameStageAsBefore) {
+  // An unannotated loop against an unconstrained parameter: no bound is
+  // derivable. A Full monitor needs the loop rows before execution, so the
+  // job fails there, unexecuted; a Cfg monitor and no monitor execute first
+  // and fail in the WCET phase. The message is the same in every mode, and
+  // a failed job never keeps execution stats.
+  minic::Program program = minic::parse_program(R"(
+    func i32 spin(i32 n) {
+      local i32 i;
+      i = 0;
+      while (i < n) {
+        i = i + 1;
+      }
+      return i;
+    }
+  )");
+  minic::type_check(program);
+
+  driver::FleetOptions options;
+  options.jobs = 1;
+  options.exec_cycles = 3;
+  options.wcet = true;
+  options.wcet_engine = wcet::WcetEngine::Both;
+  options.configs = {driver::Config::Verified};
+  const auto run = [&](machine::MonitorMode mode) {
+    options.monitor = mode;
+    const driver::FleetReport report =
+        driver::run_fleet({{"spin", &program, "spin", {}}}, options);
+    EXPECT_EQ(report.records.size(), 1u);
+    return report.records.at(0);
+  };
+  const driver::FleetRecord full = run(machine::MonitorMode::Full);
+  const driver::FleetRecord cfg = run(machine::MonitorMode::Cfg);
+  const driver::FleetRecord off = run(machine::MonitorMode::Off);
+  for (const driver::FleetRecord* r : {&full, &cfg, &off}) {
+    EXPECT_FALSE(r->ok);
+    EXPECT_NE(r->error.find("no bound for loop"), std::string::npos)
+        << r->error;
+    EXPECT_NE(r->error.find("in spin (annotation required)"),
+              std::string::npos)
+        << r->error;
+    EXPECT_EQ(r->error, full.error);
+    EXPECT_EQ(r->exec.cycles, 0u);
+    EXPECT_EQ(r->exec.instructions, 0u);
+    EXPECT_EQ(r->observed_max_cycles, 0u);
+    EXPECT_EQ(r->monitor_violations, 0u);
+    EXPECT_EQ(r->wcet_cycles, 0u);
+    EXPECT_EQ(r->wcet_ipet_cycles, 0u);
+  }
+  EXPECT_EQ(full.monitored_steps, 0u);  // never executed
+  EXPECT_GT(cfg.monitored_steps, 0u);   // executed, checked, then failed
+  EXPECT_EQ(off.monitored_steps, 0u);   // executed unmonitored
+}
+
 /// Owns the generated programs (FleetUnit only points at them).
 struct Suite {
   std::vector<minic::Program> programs;
