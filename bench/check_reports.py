@@ -7,7 +7,8 @@ breaks the lane's contract, and distills the tracked metrics into a
 BENCH_*.json file where the lane has one:
 
   ipet         fleet-report-ipet.json -> BENCH_ipet.json
-  monitor      fleet-report-monitor.json (no output file)
+  monitor      fleet-report-monitor.json, or with --mode=cfg
+               fleet-report-monitor-cfg.json (no output file)
   diff         fleet-report-{cold,warm}-{ppc,rv32}.json -> BENCH_throughput.json
   ssa          fleet-report-ssa.json, fleet-report-nossa.json -> BENCH_ssa.json
   crosstarget  BENCH_crosstarget.json (no output file)
@@ -53,12 +54,16 @@ def check_ipet(args):
     }, "BENCH_ipet.json")
 
 
+MONITOR_REPORTS = {"full": "fleet-report-monitor.json",
+                   "cfg": "fleet-report-monitor-cfg.json"}
+
+
 def check_monitor(args):
     """The monitored campaign ran armed and refuted no static claim."""
-    doc = load("fleet-report-monitor.json")
+    doc = load(MONITOR_REPORTS[args.mode])
     assert doc["schema"] == FLEET_SCHEMA, doc["schema"]
     mon = doc["monitor"]
-    assert mon["mode"] == "full", mon
+    assert mon["mode"] == args.mode, mon
     assert mon["violations"] == 0, mon
     assert mon["records"] > 0 and mon["steps"] > 0, mon
     bad = [r["name"] for r in doc["records"]
@@ -159,6 +164,10 @@ def main():
             p.add_argument("--preset", required=True,
                            help="CMake preset the campaign binaries came "
                                 "from (recorded in the output)")
+        if name == "monitor":
+            p.add_argument("--mode", choices=sorted(MONITOR_REPORTS),
+                           default="full",
+                           help="monitor mode the campaign ran with")
         p.set_defaults(fn=fn)
     args = parser.parse_args()
     args.fn(args)

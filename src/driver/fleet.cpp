@@ -133,8 +133,10 @@ void record_from_stanza(const json::Value& doc, const json::Value& stanza,
 /// The job's one shared analysis (CFG, values, caches, loop bounds, block
 /// costs) and the structural bound over it. Filled at most once per job:
 /// before execution when a Full monitor needs the loop rows, else by the
-/// WCET phase.
+/// WCET phase. A Cfg monitor needs only the CFG before execution; it waits
+/// in `cfg` until the WCET phase builds the analysis around it.
 struct JobAnalysis {
+  std::optional<wcet::Cfg> cfg;
   std::optional<wcet::FunctionAnalysis> function;
   std::optional<std::uint64_t> structural_cycles;
 };
@@ -148,7 +150,8 @@ wcet::WcetOptions wcet_options(const FleetOptions& options) {
 /// Builds the monitor's fact base. A Full spec holds the loop rows, so the
 /// job's shared analysis and structural path run here, before execution —
 /// where a failure of either has always stopped the job — and the WCET phase
-/// reuses them. The time counts as WCET time.
+/// reuses them. A Cfg spec reconstructs only the CFG, which the WCET phase
+/// reuses. The time counts as WCET time.
 machine::MonitorSpec job_monitor_spec(const FleetUnit& unit,
                                       const mach::Image& image,
                                       const FleetOptions& options,
@@ -161,7 +164,9 @@ machine::MonitorSpec job_monitor_spec(const FleetUnit& unit,
     job->structural_cycles = wcet::structural_wcet(analysis, analysis.costs);
     spec = wcet::build_monitor_spec(image, analysis, options.monitor);
   } else {
-    spec = wcet::build_monitor_spec(image, unit.entry, options.monitor);
+    const wcet::Cfg& cfg =
+        job->cfg.emplace(wcet::build_cfg(image, unit.entry));
+    spec = wcet::build_control_spec(image, unit.entry, cfg);
   }
   record->wcet_seconds += seconds_since(t_spec);
   return spec;
@@ -238,7 +243,10 @@ void run_wcet_phase(const FleetUnit& unit, const mach::Image& image,
     // cache analysis runs only for the bound.
     wcet::WcetOptions wopts = wcet_options(options);
     wopts.cache_analysis = options.wcet;
-    job->function = wcet::analyze_function(image, unit.entry, wopts);
+    job->function =
+        job->cfg ? wcet::analyze_function(image, unit.entry,
+                                          std::move(*job->cfg), wopts)
+                 : wcet::analyze_function(image, unit.entry, wopts);
   }
   const wcet::FunctionAnalysis& analysis = *job->function;
   if (options.wcet) {

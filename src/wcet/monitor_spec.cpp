@@ -7,11 +7,9 @@
 
 namespace vc::wcet {
 
-namespace {
-
-/// The control facts: one legal-target set per branch instruction of `cfg`.
-machine::MonitorSpec control_spec(const mach::Image& image,
-                                  const std::string& fn_name, const Cfg& cfg) {
+machine::MonitorSpec build_control_spec(const mach::Image& image,
+                                        const std::string& fn_name,
+                                        const Cfg& cfg) {
   machine::MonitorSpec spec;
   spec.function = fn_name;
   std::tie(spec.lo, spec.hi) = image.fn_range(fn_name);
@@ -35,15 +33,13 @@ machine::MonitorSpec control_spec(const mach::Image& image,
   return spec;
 }
 
-}  // namespace
-
 machine::MonitorSpec build_monitor_spec(const mach::Image& image,
                                         const FunctionAnalysis& analysis,
                                         machine::MonitorMode mode) {
   if (mode == machine::MonitorMode::Off)
     return build_monitor_spec(image, analysis.fn_name, mode);
   const Cfg& cfg = analysis.cfg;
-  machine::MonitorSpec spec = control_spec(image, analysis.fn_name, cfg);
+  machine::MonitorSpec spec = build_control_spec(image, analysis.fn_name, cfg);
   if (mode != machine::MonitorMode::Full) return spec;
 
   // Value claims: the raw annotation table, independently re-parsed by the
@@ -74,7 +70,7 @@ machine::MonitorSpec build_monitor_spec(const mach::Image& image,
                                         machine::MonitorMode mode,
                                         const WcetOptions& options) {
   if (mode == machine::MonitorMode::Cfg)
-    return control_spec(image, fn_name, build_cfg(image, fn_name));
+    return build_control_spec(image, fn_name, build_cfg(image, fn_name));
   if (mode == machine::MonitorMode::Off) {
     machine::MonitorSpec spec;
     spec.function = fn_name;

@@ -32,6 +32,13 @@ machine::MonitorSpec build_monitor_spec(const mach::Image& image,
                                         const FunctionAnalysis& analysis,
                                         machine::MonitorMode mode);
 
+/// The Cfg-mode fact base over a CFG already reconstructed with
+/// build_cfg(image, fn_name): the legal transfer targets of every branch
+/// instruction. Runs no analysis of its own.
+machine::MonitorSpec build_control_spec(const mach::Image& image,
+                                        const std::string& fn_name,
+                                        const Cfg& cfg);
+
 /// Standalone form: Cfg mode reconstructs only the CFG; Full mode runs
 /// analyze_function and the structural engine (so it fails exactly where
 /// analyze_wcet would) and builds the spec from that analysis. `options`

@@ -437,6 +437,12 @@ BlockCosts cost_blocks(const FunctionAnalysis& analysis, bool cache_analysis) {
 FunctionAnalysis analyze_function(const mach::Image& image,
                                   const std::string& fn_name,
                                   const WcetOptions& options) {
+  return analyze_function(image, fn_name, build_cfg(image, fn_name), options);
+}
+
+FunctionAnalysis analyze_function(const mach::Image& image,
+                                  const std::string& fn_name, Cfg cfg_in,
+                                  const WcetOptions& options) {
   FunctionAnalysis analysis;
   analysis.fn_name = fn_name;
   analysis.desc = &mach::target_by_name(
@@ -444,7 +450,7 @@ FunctionAnalysis analyze_function(const mach::Image& image,
   analysis.machine =
       options.machine ? *options.machine : analysis.desc->machine;
 
-  analysis.cfg = build_cfg(image, fn_name);
+  analysis.cfg = std::move(cfg_in);
   const Cfg& cfg = analysis.cfg;
   AnnotIndex annots;
   if (options.use_annotations) {

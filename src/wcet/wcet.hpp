@@ -126,6 +126,13 @@ FunctionAnalysis analyze_function(const mach::Image& image,
                                   const std::string& fn_name,
                                   const WcetOptions& options = {});
 
+/// The same stages over a CFG the caller already reconstructed with
+/// build_cfg(image, fn_name) (a Cfg-mode monitor spec needs it before the
+/// rest of the analysis runs).
+FunctionAnalysis analyze_function(const mach::Image& image,
+                                  const std::string& fn_name, Cfg cfg,
+                                  const WcetOptions& options = {});
+
 /// Classifies the analyzed function's accesses (or, with `cache_analysis`
 /// off, charges every one as a miss) and costs its blocks. Reuses the CFG
 /// and value analysis, which do not depend on the cache.

@@ -365,6 +365,38 @@ TEST(Monitor, MonitoredFleetIsThreadCountInvariant) {
   EXPECT_EQ(serial.monitored_steps, parallel.monitored_steps);
 }
 
+TEST(Monitor, MonitorModeLeavesEveryBoundUnchanged) {
+  // A Full job analyzes before execution, a Cfg job hands the CFG its spec
+  // reconstructed to the WCET phase, an unmonitored job analyzes after
+  // execution. All three must report the same bounds and executions.
+  const Suite suite = small_suite(4);
+  driver::FleetOptions options;
+  options.jobs = 1;
+  options.exec_cycles = 3;
+  options.wcet = true;
+  options.wcet_nocache = true;
+  options.wcet_engine = wcet::WcetEngine::Both;
+  const driver::FleetReport off = driver::run_fleet(suite.units, options);
+  for (const machine::MonitorMode mode :
+       {machine::MonitorMode::Cfg, machine::MonitorMode::Full}) {
+    options.monitor = mode;
+    const driver::FleetReport monitored =
+        driver::run_fleet(suite.units, options);
+    ASSERT_EQ(monitored.records.size(), off.records.size());
+    for (std::size_t i = 0; i < off.records.size(); ++i) {
+      const driver::FleetRecord& a = off.records[i];
+      const driver::FleetRecord& b = monitored.records[i];
+      SCOPED_TRACE(a.name + "/" + driver::to_string(a.config));
+      EXPECT_TRUE(b.ok) << b.error;
+      EXPECT_EQ(a.wcet_cycles, b.wcet_cycles);
+      EXPECT_EQ(a.wcet_ipet_cycles, b.wcet_ipet_cycles);
+      EXPECT_EQ(a.wcet_nocache_cycles, b.wcet_nocache_cycles);
+      EXPECT_EQ(a.exec.cycles, b.exec.cycles);
+      EXPECT_EQ(b.monitored_steps, b.exec.instructions);
+    }
+  }
+}
+
 TEST(CounterWidth, ExecStatsAndIssueModelAreUint64Clean) {
   // Pin the accumulator widths: a 2500-node campaign at ~30 runs per job can
   // push cycle totals far past 2^32; any uint32 intermediate would wrap
